@@ -107,6 +107,8 @@ Frame BusServer::HandleRequest(const FrameView& request) {
   Slice in = request.payload;
   Status status;
   std::string result;  // RPC-specific fields, appended after the status.
+  // Every case parses its declared fields, then requires `in` to be
+  // fully consumed before executing anything.
   bool parsed = true;
 
   switch (static_cast<OpCode>(request.opcode)) {
@@ -115,7 +117,8 @@ Frame BusServer::HandleRequest(const FrameView& request) {
       uint32_t partitions;
       if ((parsed = GetLengthPrefixedSlice(&in, &topic) &&
                     GetVarint32(&in, &partitions) &&
-                    partitions <= static_cast<uint32_t>(INT32_MAX))) {
+                    partitions <= static_cast<uint32_t>(INT32_MAX) &&
+                    in.empty())) {
         status = bus_->CreateTopic(topic.ToString(),
                                    static_cast<int>(partitions));
       }
@@ -123,14 +126,14 @@ Frame BusServer::HandleRequest(const FrameView& request) {
     }
     case OpCode::kDeleteTopic: {
       Slice topic;
-      if ((parsed = GetLengthPrefixedSlice(&in, &topic))) {
+      if ((parsed = GetLengthPrefixedSlice(&in, &topic) && in.empty())) {
         status = bus_->DeleteTopic(topic.ToString());
       }
       break;
     }
     case OpCode::kNumPartitions: {
       Slice topic;
-      if ((parsed = GetLengthPrefixedSlice(&in, &topic))) {
+      if ((parsed = GetLengthPrefixedSlice(&in, &topic) && in.empty())) {
         auto n = bus_->NumPartitions(topic.ToString());
         status = n.status();
         if (n.ok()) PutVarint32(&result, static_cast<uint32_t>(n.value()));
@@ -139,60 +142,51 @@ Frame BusServer::HandleRequest(const FrameView& request) {
     }
     case OpCode::kPartitionsOf: {
       Slice topic;
-      if ((parsed = GetLengthPrefixedSlice(&in, &topic))) {
+      if ((parsed = GetLengthPrefixedSlice(&in, &topic) && in.empty())) {
         PutTopicPartitionList(&result, bus_->PartitionsOf(topic.ToString()));
       }
       break;
     }
     case OpCode::kProduce: {
       Slice topic, key, payload;
+      int64_t partition;
       if ((parsed = GetLengthPrefixedSlice(&in, &topic) &&
+                    GetVarsint64(&in, &partition) &&
+                    (partition == kPartitionByKey ||
+                     (partition >= 0 && partition <= INT32_MAX)) &&
                     GetLengthPrefixedSlice(&in, &key) &&
-                    GetLengthPrefixedSlice(&in, &payload))) {
-        auto offset = bus_->Produce(topic.ToString(), key.ToString(),
-                                    payload.ToString());
+                    GetLengthPrefixedSlice(&in, &payload) && in.empty())) {
+        auto offset =
+            partition == kPartitionByKey
+                ? bus_->Produce(topic.ToString(), key.ToString(),
+                                payload.ToString())
+                : bus_->ProduceToPartition(
+                      topic.ToString(), static_cast<int>(partition),
+                      key.ToString(), payload.ToString());
         status = offset.status();
         if (offset.ok()) PutVarint64(&result, offset.value());
       }
       break;
     }
-    case OpCode::kProduceToPartition: {
-      Slice topic, key, payload;
-      uint32_t partition;
-      if ((parsed = GetLengthPrefixedSlice(&in, &topic) &&
-                    GetVarint32(&in, &partition) &&
-                    partition <= static_cast<uint32_t>(INT32_MAX) &&
-                    GetLengthPrefixedSlice(&in, &key) &&
-                    GetLengthPrefixedSlice(&in, &payload))) {
-        auto offset = bus_->ProduceToPartition(
-            topic.ToString(), static_cast<int>(partition), key.ToString(),
-            payload.ToString());
-        status = offset.status();
-        if (offset.ok()) PutVarint64(&result, offset.value());
-      }
-      break;
-    }
-    case OpCode::kProduceBatch: {
-      Slice topic;
-      uint32_t n = 0;
+    case OpCode::kProduceColumnar: {
+      std::string topic;
       std::vector<ProduceRecord> records;
-      parsed = GetLengthPrefixedSlice(&in, &topic) && GetVarint32(&in, &n);
-      for (uint32_t i = 0; parsed && i < n; ++i) {
-        Slice key, payload;
-        if ((parsed = GetLengthPrefixedSlice(&in, &key) &&
-                      GetLengthPrefixedSlice(&in, &payload))) {
-          records.push_back({key.ToString(), payload.ToString()});
+      trace::TraceContext trace_ctx;
+      parsed = GetColumnarProduceBatch(&in, &topic, &records);
+      if (parsed && !in.empty()) {
+        // After the records: nothing, or exactly one verified trace
+        // trailer, under which the hosted bus's append span links.
+        if (in.size() == trace::kTraceTrailerSize) {
+          trace_ctx = trace::ParseTraceTrailer(in);
         }
+        parsed = trace_ctx.valid();
       }
       if (parsed) {
-        // A trace trailer may follow the last record (see kTraceHello);
-        // make it ambient so the hosted bus's append span links. A
-        // corrupt trailer degrades to an untraced produce, never an
-        // error.
-        const trace::ScopedTraceContext scope(
-            options_.enable_trace ? trace::ParseTraceTrailer(in)
-                                  : trace::TraceContext());
-        status = bus_->ProduceBatch(topic.ToString(), std::move(records));
+        const trace::ScopedTraceContext scope(trace_ctx);
+        status = bus_->ProduceBatch(topic, std::move(records));
+        if (status.ok()) {
+          columnar_batches_.fetch_add(1, std::memory_order_relaxed);
+        }
       }
       break;
     }
@@ -208,7 +202,7 @@ Frame BusServer::HandleRequest(const FrameView& request) {
           topics.push_back(topic.ToString());
         }
       }
-      parsed = parsed && GetLengthPrefixedSlice(&in, &metadata);
+      parsed = parsed && GetLengthPrefixedSlice(&in, &metadata) && in.empty();
       if (parsed) {
         // The buffering listener feeds rebalances into this consumer's
         // Poll responses; the client-side strategy cannot cross the
@@ -235,127 +229,20 @@ Frame BusServer::HandleRequest(const FrameView& request) {
     }
     case OpCode::kUnsubscribe: {
       Slice consumer;
-      if ((parsed = GetLengthPrefixedSlice(&in, &consumer))) {
+      if ((parsed = GetLengthPrefixedSlice(&in, &consumer) && in.empty())) {
         status = bus_->Unsubscribe(consumer.ToString());
         MutexLock lock(&mu_);
         rebalances_.erase(consumer.ToString());
       }
       break;
     }
-    case OpCode::kPoll: {
-      Slice consumer;
-      uint64_t max_messages;
-      int64_t max_wait;
-      if ((parsed = GetLengthPrefixedSlice(&in, &consumer) &&
-                    GetVarint64(&in, &max_messages) &&
-                    GetVarsint64(&in, &max_wait))) {
-        std::vector<Message> messages;
-        status = bus_->Poll(consumer.ToString(),
-                            static_cast<size_t>(max_messages), &messages,
-                            max_wait);
-        if (status.ok()) {
-          std::vector<TopicPartition> revoked, assigned;
-          auto buffer = BufferFor(consumer.ToString());
-          {
-            MutexLock lock(&buffer->mu);
-            revoked.swap(buffer->revoked);
-            assigned.swap(buffer->assigned);
-          }
-          PutTopicPartitionList(&result, revoked);
-          PutTopicPartitionList(&result, assigned);
-          PutWireMessageList(&result, messages);
-          // Backlog hint: trailing varint appended after the original
-          // kPoll body. Old clients stop decoding before it; new
-          // clients treat it as optional — both directions stay
-          // compatible across versions.
-          PutVarint64(&result, bus_->BacklogHint());
-        }
-      }
-      break;
-    }
-    case OpCode::kFetch: {
-      TopicPartition tp;
-      uint64_t offset, max_messages;
-      if ((parsed = GetTopicPartition(&in, &tp) &&
-                    GetVarint64(&in, &offset) &&
-                    GetVarint64(&in, &max_messages))) {
-        std::vector<Message> messages;
-        status = bus_->Fetch(tp, offset, static_cast<size_t>(max_messages),
-                             &messages);
-        if (status.ok()) PutWireMessageList(&result, messages);
-      }
-      break;
-    }
-    case OpCode::kCommit:
-    case OpCode::kSeek: {
-      Slice consumer;
-      TopicPartition tp;
-      uint64_t offset;
-      if ((parsed = GetLengthPrefixedSlice(&in, &consumer) &&
-                    GetTopicPartition(&in, &tp) &&
-                    GetVarint64(&in, &offset))) {
-        status = static_cast<OpCode>(request.opcode) == OpCode::kCommit
-                     ? bus_->Commit(consumer.ToString(), tp, offset)
-                     : bus_->Seek(consumer.ToString(), tp, offset);
-      }
-      break;
-    }
-    case OpCode::kEndOffset:
-    case OpCode::kBaseOffset: {
-      TopicPartition tp;
-      if ((parsed = GetTopicPartition(&in, &tp))) {
-        auto offset = static_cast<OpCode>(request.opcode) == OpCode::kEndOffset
-                          ? bus_->EndOffset(tp)
-                          : bus_->BaseOffset(tp);
-        status = offset.status();
-        if (offset.ok()) PutVarint64(&result, offset.value());
-      }
-      break;
-    }
-    case OpCode::kKillConsumer: {
-      Slice consumer;
-      if ((parsed = GetLengthPrefixedSlice(&in, &consumer))) {
-        status = bus_->KillConsumer(consumer.ToString());
-      }
-      break;
-    }
-    case OpCode::kWakeConsumer: {
-      Slice consumer;
-      if ((parsed = GetLengthPrefixedSlice(&in, &consumer))) {
-        status = bus_->WakeConsumer(consumer.ToString());
-      }
-      break;
-    }
-    case OpCode::kWake:
-      bus_->Wake();
-      break;
-    case OpCode::kCheckLiveness:
-      bus_->CheckLiveness();
-      break;
-    case OpCode::kAssignmentOf: {
-      Slice consumer;
-      if ((parsed = GetLengthPrefixedSlice(&in, &consumer))) {
-        PutTopicPartitionList(&result, bus_->AssignmentOf(consumer.ToString()));
-      }
-      break;
-    }
-    case OpCode::kRebalanceCount:
-      PutVarint64(&result, bus_->rebalance_count());
-      break;
     case OpCode::kPollColumnar: {
-      if (!options_.enable_columnar) {
-        // Mirror a server predating the columnar frames byte-for-byte
-        // so the client downgrade path sees the real thing.
-        status = Status::NotSupported("unknown opcode " +
-                                      std::to_string(request.opcode));
-        break;
-      }
       Slice consumer;
       uint64_t max_messages;
       int64_t max_wait;
       if ((parsed = GetLengthPrefixedSlice(&in, &consumer) &&
                     GetVarint64(&in, &max_messages) &&
-                    GetVarsint64(&in, &max_wait))) {
+                    GetVarsint64(&in, &max_wait) && in.empty())) {
         std::vector<Message> messages;
         status = bus_->Poll(consumer.ToString(),
                             static_cast<size_t>(max_messages), &messages,
@@ -377,33 +264,87 @@ Frame BusServer::HandleRequest(const FrameView& request) {
       }
       break;
     }
-    case OpCode::kProduceColumnar: {
-      if (!options_.enable_columnar) {
-        status = Status::NotSupported("unknown opcode " +
-                                      std::to_string(request.opcode));
-        break;
-      }
-      std::string topic;
-      std::vector<ProduceRecord> records;
-      if ((parsed = GetColumnarProduceBatch(&in, &topic, &records))) {
-        const trace::ScopedTraceContext scope(
-            options_.enable_trace ? trace::ParseTraceTrailer(in)
-                                  : trace::TraceContext());
-        status = bus_->ProduceBatch(topic, std::move(records));
-        if (status.ok()) {
-          columnar_batches_.fetch_add(1, std::memory_order_relaxed);
-        }
+    case OpCode::kFetch: {
+      TopicPartition tp;
+      uint64_t offset, max_messages;
+      if ((parsed = GetTopicPartition(&in, &tp) &&
+                    GetVarint64(&in, &offset) &&
+                    GetVarint64(&in, &max_messages) && in.empty())) {
+        std::vector<Message> messages;
+        status = bus_->Fetch(tp, offset, static_cast<size_t>(max_messages),
+                             &messages);
+        if (status.ok()) PutColumnarMessageList(&result, messages);
       }
       break;
     }
-    case OpCode::kTraceHello:
-      if (!options_.enable_trace) {
-        // Mirror a server predating trace propagation byte-for-byte so
-        // the client downgrade path sees the real thing.
-        status = Status::NotSupported("unknown opcode " +
-                                      std::to_string(request.opcode));
+    case OpCode::kCommit:
+    case OpCode::kSeek: {
+      Slice consumer;
+      TopicPartition tp;
+      uint64_t offset;
+      if ((parsed = GetLengthPrefixedSlice(&in, &consumer) &&
+                    GetTopicPartition(&in, &tp) &&
+                    GetVarint64(&in, &offset) && in.empty())) {
+        status = static_cast<OpCode>(request.opcode) == OpCode::kCommit
+                     ? bus_->Commit(consumer.ToString(), tp, offset)
+                     : bus_->Seek(consumer.ToString(), tp, offset);
       }
       break;
+    }
+    case OpCode::kEndOffset:
+    case OpCode::kBaseOffset: {
+      TopicPartition tp;
+      if ((parsed = GetTopicPartition(&in, &tp) && in.empty())) {
+        auto offset = static_cast<OpCode>(request.opcode) == OpCode::kEndOffset
+                          ? bus_->EndOffset(tp)
+                          : bus_->BaseOffset(tp);
+        status = offset.status();
+        if (offset.ok()) PutVarint64(&result, offset.value());
+      }
+      break;
+    }
+    case OpCode::kKillConsumer: {
+      Slice consumer;
+      if ((parsed = GetLengthPrefixedSlice(&in, &consumer) && in.empty())) {
+        status = bus_->KillConsumer(consumer.ToString());
+      }
+      break;
+    }
+    case OpCode::kWakeConsumer: {
+      Slice consumer;
+      if ((parsed = GetLengthPrefixedSlice(&in, &consumer) && in.empty())) {
+        status = bus_->WakeConsumer(consumer.ToString());
+      }
+      break;
+    }
+    case OpCode::kWake:
+      if ((parsed = in.empty())) bus_->Wake();
+      break;
+    case OpCode::kCheckLiveness:
+      if ((parsed = in.empty())) bus_->CheckLiveness();
+      break;
+    case OpCode::kAssignmentOf: {
+      Slice consumer;
+      if ((parsed = GetLengthPrefixedSlice(&in, &consumer) && in.empty())) {
+        PutTopicPartitionList(&result, bus_->AssignmentOf(consumer.ToString()));
+      }
+      break;
+    }
+    case OpCode::kRebalanceCount:
+      if ((parsed = in.empty())) {
+        PutVarint64(&result, bus_->rebalance_count());
+      }
+      break;
+    case OpCode::kHello: {
+      uint32_t version;
+      if ((parsed = GetVarint32(&in, &version) && in.empty()) &&
+          version != kWireVersion) {
+        status = Status::NotSupported(
+            "wire version mismatch: peer speaks v" + std::to_string(version) +
+            ", server speaks v" + std::to_string(kWireVersion));
+      }
+      break;
+    }
     default:
       if (extension_ == nullptr ||
           !extension_(request.opcode, in, &status, &result)) {

@@ -35,14 +35,6 @@ namespace railgun::msg::remote {
 struct BusServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 = ephemeral; port() reports the bound one.
-  // Answer kPollColumnar/kProduceColumnar. Off simulates a server
-  // predating the columnar frames, exercising the client's
-  // NotSupported downgrade path.
-  bool enable_columnar = true;
-  // Answer kTraceHello (and honor produce trace trailers). Off
-  // simulates a server predating trace propagation, exercising the
-  // client's NotSupported downgrade path.
-  bool enable_trace = true;
 };
 
 class BusServer {
@@ -83,7 +75,8 @@ class BusServer {
 
   // Decodes one request and executes it against `bus`, producing the
   // response frame (same correlation id, opcode | kResponseBit).
-  // Malformed payloads yield a Corruption response, unhandled opcodes a
+  // Malformed payloads (including trailing bytes) yield a Corruption
+  // response, unhandled opcodes and a hello of another wire version a
   // typed NotSupported one; this never crashes on hostile input.
   // Exposed for wire-level tests.
   Frame HandleRequest(const Frame& request);

@@ -42,6 +42,9 @@ std::shared_ptr<RemoteBus::Conn> RemoteBus::ConnFor(
 
 Status RemoteBus::EnsureConnectedLocked(Conn* conn) const {
   if (conn->connected) return Status::OK();
+  // A server that refused our hello speaks another wire version; asking
+  // again cannot change its answer.
+  RAILGUN_RETURN_IF_ERROR(conn->rejected);
   const Micros now = clock_->NowMicros();
   if (!conn->backoff.CanDial(now)) {
     // Inside the backoff window: fail fast without touching the
@@ -61,6 +64,25 @@ Status RemoteBus::EnsureConnectedLocked(Conn* conn) const {
   }
   conn->sock = std::move(sock).value();
   conn->connected = true;
+
+  std::string hello;
+  PutVarint32(&hello, kWireVersion);
+  BufferRef buffer;
+  Slice unused;
+  const Status greeted =
+      RoundTripLocked(conn, OpCode::kHello, hello, &buffer, &unused);
+  if (!greeted.ok()) {
+    if (conn->connected) {
+      // The server answered: it refuses this version. A transport
+      // failure instead already closed the connection and backs off.
+      conn->sock.Close();
+      conn->connected = false;
+      conn->rejected = greeted;
+    } else {
+      conn->backoff.RecordFailure(clock_->NowMicros());
+    }
+    return greeted;
+  }
   conn->backoff.RecordSuccess();
   return Status::OK();
 }
@@ -86,7 +108,12 @@ Status RemoteBus::CallView(const std::shared_ptr<Conn>& conn, OpCode opcode,
   RAILGUN_RETURN_IF_ERROR(address_status_);
   MutexLock lock(&conn->mu);
   RAILGUN_RETURN_IF_ERROR(EnsureConnectedLocked(conn.get()));
+  return RoundTripLocked(conn.get(), opcode, payload, buffer, result);
+}
 
+Status RemoteBus::RoundTripLocked(Conn* conn, OpCode opcode,
+                                  const std::string& payload,
+                                  BufferRef* buffer, Slice* result) const {
   Frame request;
   request.correlation_id = conn->next_correlation++;
   request.opcode = static_cast<uint8_t>(opcode);
@@ -94,7 +121,7 @@ Status RemoteBus::CallView(const std::shared_ptr<Conn>& conn, OpCode opcode,
   std::string encoded;
   EncodeFrame(request, &encoded);
 
-  auto fail = [&conn](Status status) {
+  auto fail = [conn](Status status) {
     conn->sock.Close();
     conn->connected = false;
     return status;
@@ -170,8 +197,26 @@ std::vector<TopicPartition> RemoteBus::PartitionsOf(
 StatusOr<uint64_t> RemoteBus::Produce(const std::string& topic,
                                       const std::string& key,
                                       std::string payload_bytes) {
+  return ProduceOne(topic, kPartitionByKey, key, payload_bytes);
+}
+
+StatusOr<uint64_t> RemoteBus::ProduceToPartition(const std::string& topic,
+                                                 int partition,
+                                                 std::string key,
+                                                 std::string payload_bytes) {
+  // Same contract as the in-process bus: never silently reroute a bad
+  // partition.
+  if (partition < 0) return Status::InvalidArgument("bad partition");
+  return ProduceOne(topic, partition, key, payload_bytes);
+}
+
+StatusOr<uint64_t> RemoteBus::ProduceOne(const std::string& topic,
+                                         int64_t partition,
+                                         const std::string& key,
+                                         const std::string& payload_bytes) {
   std::string payload, result;
   PutLengthPrefixedSlice(&payload, topic);
+  PutVarsint64(&payload, partition);
   PutLengthPrefixedSlice(&payload, key);
   PutLengthPrefixedSlice(&payload, payload_bytes);
   RAILGUN_RETURN_IF_ERROR(CallControl(OpCode::kProduce, payload, &result));
@@ -183,80 +228,19 @@ StatusOr<uint64_t> RemoteBus::Produce(const std::string& topic,
   return offset;
 }
 
-StatusOr<uint64_t> RemoteBus::ProduceToPartition(const std::string& topic,
-                                                 int partition,
-                                                 std::string key,
-                                                 std::string payload_bytes) {
-  // Same contract as the in-process bus: never silently reroute a bad
-  // partition.
-  if (partition < 0) return Status::InvalidArgument("bad partition");
-  std::string payload, result;
-  PutLengthPrefixedSlice(&payload, topic);
-  PutVarint32(&payload, static_cast<uint32_t>(partition));
-  PutLengthPrefixedSlice(&payload, key);
-  PutLengthPrefixedSlice(&payload, payload_bytes);
-  RAILGUN_RETURN_IF_ERROR(
-      CallControl(OpCode::kProduceToPartition, payload, &result));
-  Slice in(result);
-  uint64_t offset;
-  if (!GetVarint64(&in, &offset)) {
-    return Status::Corruption("malformed Produce response");
-  }
-  return offset;
-}
-
 Status RemoteBus::ProduceBatch(const std::string& topic,
                                std::vector<ProduceRecord> records) {
-  // When the producer left a trace context ambient, forward it as a
-  // request trailer so the server-side append span joins the trace —
-  // but only once the kTraceHello handshake confirmed the server
-  // understands trailers.
-  trace::TraceContext trace_ctx = trace::CurrentTraceContext();
-  if (trace_ctx.valid() && (!trace::Tracer::Global()->enabled() ||
-                            !TraceTrailerNegotiated())) {
-    trace_ctx = trace::TraceContext();
-  }
-  if (server_columnar_.load(std::memory_order_relaxed)) {
-    std::string payload;
-    PutColumnarProduceBatch(&payload, topic, records);
-    trace::AppendTraceTrailer(trace_ctx, &payload);
-    const Status status =
-        CallControl(OpCode::kProduceColumnar, payload, nullptr);
-    if (!status.IsNotSupported()) {
-      if (status.ok()) {
-        columnar_batches_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return status;
-    }
-    // Old server: downgrade to row frames for good and retry below
-    // (NotSupported means the batch was never applied).
-    server_columnar_.store(false, std::memory_order_relaxed);
-  }
   std::string payload;
-  PutLengthPrefixedSlice(&payload, topic);
-  PutVarint32(&payload, static_cast<uint32_t>(records.size()));
-  for (const auto& record : records) {
-    PutLengthPrefixedSlice(&payload, record.key);
-    PutLengthPrefixedSlice(&payload, record.payload);
+  PutColumnarProduceBatch(&payload, topic, records);
+  // A producer's ambient trace context rides along as the declared
+  // trailer, so the server-side append span joins the trace.
+  if (trace::Tracer::Global()->enabled()) {
+    trace::AppendTraceTrailer(trace::CurrentTraceContext(), &payload);
   }
-  trace::AppendTraceTrailer(trace_ctx, &payload);
-  return CallControl(OpCode::kProduceBatch, payload, nullptr);
-}
-
-bool RemoteBus::TraceTrailerNegotiated() {
-  const int state = server_trace_.load(std::memory_order_relaxed);
-  if (state != 0) return state > 0;
-  const Status hello =
-      CallControl(OpCode::kTraceHello, std::string(), nullptr);
-  if (hello.ok()) {
-    server_trace_.store(1, std::memory_order_relaxed);
-    return true;
-  }
-  if (hello.IsNotSupported()) {
-    server_trace_.store(-1, std::memory_order_relaxed);
-    return false;
-  }
-  return false;  // Transport hiccup: stay unknown, retry next produce.
+  RAILGUN_RETURN_IF_ERROR(
+      CallControl(OpCode::kProduceColumnar, payload, nullptr));
+  columnar_batches_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 // --- Group management ------------------------------------------------
@@ -341,51 +325,23 @@ Status RemoteBus::PollBatch(const std::string& consumer_id,
   PutVarsint64(&payload, max_wait);
   // The dedicated per-consumer connection lets the server park this
   // poll without stalling control traffic (wakes, produces, commits).
-  auto conn = ConnFor(consumer_id);
-
-  if (server_columnar_.load(std::memory_order_relaxed)) {
-    BufferRef buffer;
-    Slice in;
-    const Status called =
-        CallView(conn, OpCode::kPollColumnar, payload, &buffer, &in);
-    if (called.ok()) {
-      std::vector<TopicPartition> revoked, assigned;
-      if (!GetTopicPartitionList(&in, &revoked) ||
-          !GetTopicPartitionList(&in, &assigned) ||
-          !GetColumnarMessageList(&in, out)) {
-        out->Clear();
-        return Status::Corruption("malformed Poll response");
-      }
-      out->BorrowBuffer(std::move(buffer));
-      uint64_t backlog = 0;
-      if (GetVarint64(&in, &backlog)) {
-        backlog_hint_.store(backlog, std::memory_order_relaxed);
-      }
-      columnar_batches_.fetch_add(1, std::memory_order_relaxed);
-      DeliverRebalance(consumer_id, revoked, assigned);
-      return Status::OK();
-    }
-    if (!called.IsNotSupported()) return called;
-    server_columnar_.store(false, std::memory_order_relaxed);
-  }
-
   BufferRef buffer;
   Slice in;
-  RAILGUN_RETURN_IF_ERROR(
-      CallView(conn, OpCode::kPoll, payload, &buffer, &in));
+  RAILGUN_RETURN_IF_ERROR(CallView(ConnFor(consumer_id),
+                                   OpCode::kPollColumnar, payload, &buffer,
+                                   &in));
   std::vector<TopicPartition> revoked, assigned;
+  uint64_t backlog;
   if (!GetTopicPartitionList(&in, &revoked) ||
       !GetTopicPartitionList(&in, &assigned) ||
-      !GetWireMessageListViews(&in, out)) {
+      !GetColumnarMessageList(&in, out) || !GetVarint64(&in, &backlog) ||
+      !in.empty()) {
     out->Clear();
     return Status::Corruption("malformed Poll response");
   }
   out->BorrowBuffer(std::move(buffer));
-  // Optional trailing backlog hint (servers predating it send none).
-  uint64_t backlog = 0;
-  if (GetVarint64(&in, &backlog)) {
-    backlog_hint_.store(backlog, std::memory_order_relaxed);
-  }
+  backlog_hint_.store(backlog, std::memory_order_relaxed);
+  columnar_batches_.fetch_add(1, std::memory_order_relaxed);
   DeliverRebalance(consumer_id, revoked, assigned);
   return Status::OK();
 }
@@ -394,14 +350,21 @@ Status RemoteBus::Fetch(const TopicPartition& tp, uint64_t offset,
                         size_t max_messages,
                         std::vector<Message>* out) const {
   out->clear();
-  std::string payload, result;
+  std::string payload;
   PutTopicPartition(&payload, tp);
   PutVarint64(&payload, offset);
   PutVarint64(&payload, max_messages);
-  RAILGUN_RETURN_IF_ERROR(CallControl(OpCode::kFetch, payload, &result));
-  Slice in(result);
-  if (!GetWireMessageList(&in, out)) {
+  BufferRef buffer;
+  Slice in;
+  RAILGUN_RETURN_IF_ERROR(
+      CallView(ConnFor(""), OpCode::kFetch, payload, &buffer, &in));
+  MessageBatch batch;
+  if (!GetColumnarMessageList(&in, &batch) || !in.empty()) {
     return Status::Corruption("malformed Fetch response");
+  }
+  out->reserve(batch.size());
+  for (const MessageView& view : batch.views()) {
+    out->push_back(view.ToMessage());
   }
   return Status::OK();
 }

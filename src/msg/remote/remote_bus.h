@@ -10,6 +10,11 @@
 // carries one outstanding request at a time (correlation ids are still
 // checked defensively).
 //
+// Every new connection (control and per-consumer) opens with the
+// versioned kHello of wire.h. A server speaking another version answers
+// NotSupported; that connection then fails every call with that status
+// and never re-dials — there is no downgrade.
+//
 // Failure model: any transport error marks the connection broken and
 // surfaces Status::Unavailable. Reconnects are lazy with capped
 // exponential backoff plus jitter per connection: while a connection is
@@ -62,8 +67,9 @@ class RemoteBus : public Bus {
   RemoteBus(const RemoteBus&) = delete;
   RemoteBus& operator=(const RemoteBus&) = delete;
 
-  // Establishes the control connection (also validates the address).
-  // Calls made without (or after a failed) Connect lazily retry.
+  // Establishes the control connection and exchanges the hello (also
+  // validates the address). Calls made without (or after a failed)
+  // Connect lazily retry, except after a version mismatch.
   Status Connect();
 
   // --- Bus interface -------------------------------------------------
@@ -89,11 +95,9 @@ class RemoteBus : public Bus {
 
   Status Poll(const std::string& consumer_id, size_t max_messages,
               std::vector<Message>* out, Micros max_wait = 0) override;
-  // Zero-copy poll: the response body stays in a pooled receive buffer
-  // and *out's views point straight into it (columnar frames when the
-  // server speaks them, row frames otherwise — both without copying a
-  // single key/payload byte). The first NotSupported answer to a
-  // columnar opcode permanently downgrades this client to row frames.
+  // Zero-copy poll: the columnar response body stays in a pooled
+  // receive buffer and *out's views point straight into it, without
+  // copying a single key/payload byte.
   Status PollBatch(const std::string& consumer_id, size_t max_messages,
                    MessageBatch* out, Micros max_wait = 0) override;
   Status Fetch(const TopicPartition& tp, uint64_t offset,
@@ -115,8 +119,9 @@ class RemoteBus : public Bus {
   std::vector<TopicPartition> AssignmentOf(
       const std::string& consumer_id) override;
   uint64_t rebalance_count() const override;
-  // Broker queue depth as of the last kPoll response this client saw
-  // (the trailing hint of wire.h's kPoll). 0 until the first poll.
+  // Broker queue depth as of the last poll response this client saw
+  // (the backlog field of wire.h's kPollColumnar). 0 until the first
+  // poll.
   uint64_t BacklogHint() const override {
     return backlog_hint_.load(std::memory_order_relaxed);
   }
@@ -135,16 +140,6 @@ class RemoteBus : public Bus {
   // Columnar poll responses decoded + columnar produce batches sent.
   uint64_t columnar_batches() const {
     return columnar_batches_.load(std::memory_order_relaxed);
-  }
-  // False once the server answered NotSupported to a columnar opcode.
-  bool columnar_enabled() const {
-    return server_columnar_.load(std::memory_order_relaxed);
-  }
-  // True once the server answered the kTraceHello handshake OK (i.e.
-  // produce requests may carry trace trailers). False while unknown or
-  // after a NotSupported downgrade.
-  bool trace_negotiated() const {
-    return server_trace_.load(std::memory_order_relaxed) > 0;
   }
 
   // Generic RPC on the control connection, for stubs speaking opcodes
@@ -165,13 +160,24 @@ class RemoteBus : public Bus {
     uint64_t next_correlation GUARDED_BY(mu) = 1;
     bool connected GUARDED_BY(mu) = false;
     ReconnectBackoff backoff GUARDED_BY(mu);
+    // The server's answer to a refused hello; returned by every later
+    // call on this connection instead of re-dialing.
+    Status rejected GUARDED_BY(mu);
   };
 
   // Returns the connection for `key` ("" = control, else per-consumer),
   // creating and connecting it if needed.
   std::shared_ptr<Conn> ConnFor(const std::string& key) const;
-  // Dials conn->sock if disconnected, honoring the backoff window.
+  // Dials conn->sock and exchanges the hello if disconnected, honoring
+  // the backoff window.
   Status EnsureConnectedLocked(Conn* conn) const REQUIRES(conn->mu);
+  // Sends one request on the connected `conn` and awaits its response;
+  // a transport or framing failure closes the connection. *result views
+  // into *buffer and holds the RPC-specific fields when the remote
+  // status is OK.
+  Status RoundTripLocked(Conn* conn, OpCode opcode,
+                         const std::string& payload, BufferRef* buffer,
+                         Slice* result) const REQUIRES(conn->mu);
   // One RPC: send the request on `conn`, await its response, split off
   // the remote status; *result receives the RPC-specific fields (only
   // populated when the remote status is OK).
@@ -185,10 +191,10 @@ class RemoteBus : public Bus {
                   Slice* result) const;
   Status CallControl(OpCode opcode, const std::string& payload,
                      std::string* result) const;
-  // Lazily runs the kTraceHello handshake on the first traced produce.
-  // OK caches yes, NotSupported caches a permanent downgrade; transport
-  // errors stay unknown and retry on a later produce.
-  bool TraceTrailerNegotiated();
+  // Single-record kProduce; partition is kPartitionByKey or >= 0.
+  StatusOr<uint64_t> ProduceOne(const std::string& topic, int64_t partition,
+                                const std::string& key,
+                                const std::string& payload_bytes);
   // Fires the consumer's rebalance listener for non-empty lists.
   void DeliverRebalance(const std::string& consumer_id,
                         const std::vector<TopicPartition>& revoked,
@@ -202,14 +208,9 @@ class RemoteBus : public Bus {
   mutable std::atomic<uint64_t> dial_attempts_{0};
   std::atomic<uint64_t> backlog_hint_{0};
   // Receive buffers shared by all connections (BufferPool is internally
-  // synchronized). Optimistically assume the server speaks columnar
-  // frames until it proves otherwise.
+  // synchronized).
   mutable BufferPool pool_;
-  std::atomic<bool> server_columnar_{true};
   std::atomic<uint64_t> columnar_batches_{0};
-  // Trace-trailer handshake state: 0 unknown, 1 negotiated, -1 the
-  // server answered NotSupported (permanent downgrade).
-  std::atomic<int> server_trace_{0};
 
   mutable Mutex mu_{kRankMsgRemoteBus};
   mutable std::map<std::string, std::shared_ptr<Conn>> conns_ GUARDED_BY(mu_);

@@ -143,82 +143,6 @@ bool GetTopicPartitionList(Slice* in, std::vector<TopicPartition>* tps) {
   return true;
 }
 
-void PutWireMessage(std::string* out, const Message& message) {
-  PutLengthPrefixedSlice(out, message.topic);
-  PutVarint32(out, static_cast<uint32_t>(message.partition));
-  PutVarint64(out, message.offset);
-  PutLengthPrefixedSlice(out, message.key);
-  PutLengthPrefixedSlice(out, message.payload);
-  PutVarsint64(out, message.publish_time);
-  PutVarsint64(out, message.visible_time);
-}
-
-bool GetWireMessage(Slice* in, Message* message) {
-  Slice topic, key, payload;
-  uint32_t partition;
-  if (!GetLengthPrefixedSlice(in, &topic) || !GetVarint32(in, &partition) ||
-      partition > static_cast<uint32_t>(INT32_MAX) ||
-      !GetVarint64(in, &message->offset) ||
-      !GetLengthPrefixedSlice(in, &key) ||
-      !GetLengthPrefixedSlice(in, &payload) ||
-      !GetVarsint64(in, &message->publish_time) ||
-      !GetVarsint64(in, &message->visible_time)) {
-    return false;
-  }
-  message->topic = topic.ToString();
-  message->partition = static_cast<int>(partition);
-  message->key = key.ToString();
-  message->payload = payload.ToString();
-  return true;
-}
-
-void PutWireMessageList(std::string* out,
-                        const std::vector<Message>& messages) {
-  PutVarint32(out, static_cast<uint32_t>(messages.size()));
-  for (const auto& message : messages) PutWireMessage(out, message);
-}
-
-bool GetWireMessageList(Slice* in, std::vector<Message>* messages) {
-  uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
-  messages->clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    Message message;
-    if (!GetWireMessage(in, &message)) return false;
-    messages->push_back(std::move(message));
-  }
-  return true;
-}
-
-bool GetWireMessageView(Slice* in, MessageView* view) {
-  uint32_t partition;
-  if (!GetLengthPrefixedSlice(in, &view->topic) ||
-      !GetVarint32(in, &partition) ||
-      partition > static_cast<uint32_t>(INT32_MAX) ||
-      !GetVarint64(in, &view->offset) ||
-      !GetLengthPrefixedSlice(in, &view->key) ||
-      !GetLengthPrefixedSlice(in, &view->payload) ||
-      !GetVarsint64(in, &view->publish_time) ||
-      !GetVarsint64(in, &view->visible_time)) {
-    return false;
-  }
-  view->partition = static_cast<int>(partition);
-  return true;
-}
-
-bool GetWireMessageListViews(Slice* in, MessageBatch* out) {
-  uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
-  std::vector<MessageView>* views = out->mutable_views();
-  views->reserve(views->size() + n);
-  for (uint32_t i = 0; i < n; ++i) {
-    MessageView view;
-    if (!GetWireMessageView(in, &view)) return false;
-    views->push_back(view);
-  }
-  return true;
-}
-
 namespace {
 
 // Reads n varint32 column lengths, then carves the concatenated bytes

@@ -10,10 +10,64 @@
 //   body = [varint64 correlation_id][u8 opcode][payload]
 //
 // Response frames reuse the request opcode with kResponseBit set, and
-// their payload always starts with an encoded Status; RPC-specific
-// result fields follow only when that status is OK. Decoders return
+// their payload always starts with an encoded Status; the result fields
+// below follow only when that status is OK. Decoders return
 // Status::Corruption for truncated frames, oversized bodies, checksum
 // mismatches and malformed payloads — never crash, never trust lengths.
+//
+// There is one encoding per job and no negotiation. Every connection
+// opens with kHello carrying kWireVersion; a server speaking another
+// version answers NotSupported and the client fails every call on that
+// connection with that status. Each bus request payload must be
+// consumed exactly: trailing bytes are Corruption (the one declared
+// exception is the produce trace trailer).
+//
+// Opcode table (str = length-prefixed bytes, tp = [str topic][varint32
+// partition], tps = [varint32 n][n x tp], cols = columnar message list,
+// see PutColumnarMessageList):
+//
+//   op  name               request                       OK result
+//    1  kCreateTopic       str topic, varint32 parts     -
+//    2  kDeleteTopic       str topic                     -
+//    3  kNumPartitions     str topic                     varint32 n
+//    4  kPartitionsOf      str topic                     tps
+//    5  kProduce           str topic, varsint64          varint64 offset
+//                          partition (kPartitionByKey
+//                          = route by key), str key,
+//                          str payload
+//    8  kSubscribe         str consumer, str group,      -
+//                          varint32 n, n x str topic,
+//                          str metadata
+//    9  kUnsubscribe       str consumer                  -
+//   11  kFetch             tp, varint64 offset,          cols
+//                          varint64 max_messages
+//   12  kCommit            str consumer, tp,             -
+//                          varint64 next_offset
+//   13  kSeek              str consumer, tp,             -
+//                          varint64 offset
+//   14  kEndOffset         tp                            varint64 offset
+//   15  kBaseOffset        tp                            varint64 offset
+//   16  kKillConsumer      str consumer                  -
+//   17  kWakeConsumer      str consumer                  -
+//   18  kWake              (empty)                       -
+//   19  kAssignmentOf      str consumer                  tps
+//   20  kCheckLiveness     (empty)                       -
+//   21  kRebalanceCount    (empty)                       varint64 count
+//   22  kPollColumnar      str consumer, varint64        tps revoked,
+//                          max_messages, varsint64       tps assigned,
+//                          max_wait_us                   cols, varint64
+//                                                        backlog
+//   23  kProduceColumnar   columnar produce batch (see   -
+//                          PutColumnarProduceBatch),
+//                          then nothing or exactly one
+//                          trace::kTraceTrailerSize
+//                          trailer
+//   24  kHello             varint32 kWireVersion         -
+//
+// Retired numbers (6, 7, 10) are never reused. Services co-hosted with
+// the bus answer through BusServer's extension handler: kMeta* (32-37,
+// payloads in meta/) and kSub* (40-42, payloads in ops/sub_wire.h).
+// A server without the handler answers those NotSupported.
 #ifndef RAILGUN_MSG_REMOTE_WIRE_H_
 #define RAILGUN_MSG_REMOTE_WIRE_H_
 
@@ -40,21 +94,22 @@ constexpr size_t kFrameHeaderSize = 8;  // body_len + masked crc.
 
 constexpr uint8_t kResponseBit = 0x80;
 
+// Version announced by kHello. Bump it on any change to the opcode
+// table at the top of this file; peers of different versions refuse
+// each other.
+constexpr uint32_t kWireVersion = 1;
+
+// kProduce's partition field for "route by key" (Bus::Produce).
+constexpr int64_t kPartitionByKey = -1;
+
 enum class OpCode : uint8_t {
   kCreateTopic = 1,
   kDeleteTopic = 2,
   kNumPartitions = 3,
   kPartitionsOf = 4,
   kProduce = 5,
-  kProduceToPartition = 6,
-  kProduceBatch = 7,
   kSubscribe = 8,
   kUnsubscribe = 9,
-  // kPoll responses carry [revoked tps][assigned tps][messages] plus an
-  // optional trailing varint64 backlog hint (Bus::BacklogHint at the
-  // server). Decoders written before the hint stop early and ignore it;
-  // decoders that know it treat absence as "no hint".
-  kPoll = 10,
   kFetch = 11,
   kCommit = 12,
   kSeek = 13,
@@ -66,44 +121,23 @@ enum class OpCode : uint8_t {
   kAssignmentOf = 19,
   kCheckLiveness = 20,
   kRebalanceCount = 21,
-
-  // Columnar batch frames (PR 7). Same request payloads as kPoll /
-  // kProduceBatch but message data travels as per-column contiguous
-  // arrays (see PutColumnarMessageList / PutColumnarProduceBatch), and a
-  // kPollColumnar response is decoded zero-copy into Slice views over
-  // the pooled receive buffer. Negotiation rides the unknown-opcode
-  // fallback: a server predating these opcodes answers NotSupported and
-  // the client permanently downgrades to the row forms.
   kPollColumnar = 22,
   kProduceColumnar = 23,
+  kHello = 24,
 
-  // Trace-context negotiation (PR 9). An empty-payload hello: a server
-  // that understands the optional trace trailer appended after produce
-  // payloads answers OK; older servers answer NotSupported through the
-  // unknown-opcode fallback and the client never appends trailers. The
-  // trailer itself is trace::kTraceTrailerSize checksummed bytes after
-  // the last record of kProduceBatch / kProduceColumnar (decoders parse
-  // front-to-back, so peers that predate it skip it untouched).
-  kTraceHello = 24,
-
-  // Live subscriptions (src/ops/subscription.h), answered by the
-  // BusServer's extension handler. Payloads are defined in
-  // ops/sub_wire.h; servers predating them answer NotSupported through
-  // the unknown-opcode fallback and the client sticky-downgrades
-  // (api::Client::Subscribe returns NotSupported thereafter).
-  kSubCreate = 40,
-  kSubFetch = 41,
-  kSubCancel = 42,
-
-  // Metadata-service RPCs (src/meta/), answered by the BusServer's
-  // extension handler rather than the hosted bus. Opcodes stay below
-  // kResponseBit so the response-bit convention holds.
+  // Metadata-service RPCs (src/meta/). Opcodes stay below kResponseBit
+  // so the response-bit convention holds.
   kMetaAnnounce = 32,
   kMetaHeartbeat = 33,
   kMetaLeave = 34,
   kMetaGetView = 35,
   kMetaGetStream = 36,
   kMetaListStreams = 37,
+
+  // Live subscriptions (src/ops/subscription.h).
+  kSubCreate = 40,
+  kSubFetch = 41,
+  kSubCancel = 42,
 };
 
 struct Frame {
@@ -158,20 +192,7 @@ void PutTopicPartitionList(std::string* out,
                            const std::vector<TopicPartition>& tps);
 bool GetTopicPartitionList(Slice* in, std::vector<TopicPartition>* tps);
 
-void PutWireMessage(std::string* out, const Message& message);
-bool GetWireMessage(Slice* in, Message* message);
-
-void PutWireMessageList(std::string* out,
-                        const std::vector<Message>& messages);
-bool GetWireMessageList(Slice* in, std::vector<Message>* messages);
-
-// Zero-copy decoders of the row wire forms: views point into *in's
-// underlying storage, which must outlive them.
-bool GetWireMessageView(Slice* in, MessageView* view);
-// Appends decoded views to out->mutable_views() (does not Clear).
-bool GetWireMessageListViews(Slice* in, MessageBatch* out);
-
-// ----- Columnar batch forms (kPollColumnar / kProduceColumnar) -----
+// ----- Columnar batch forms (kPollColumnar, kFetch, kProduceColumnar) -----
 //
 // A columnar message list groups consecutive messages sharing
 // (topic, partition) — preserving global order — and transposes each

@@ -10,7 +10,9 @@
 // bytes, so peers predating the trailer interop for free; peers that
 // know it parse the tail. A trailer is only trusted when its magic and
 // checksum both verify — truncation or bit flips degrade to "no
-// context" (unsampled), never to a decode error.
+// context" (unsampled), never to a decode error. The remote produce
+// request (msg/remote/wire.h) is stricter: there the trailer is a
+// declared field, and anything else after the records is Corruption.
 #ifndef RAILGUN_TRACE_TRACE_CONTEXT_H_
 #define RAILGUN_TRACE_TRACE_CONTEXT_H_
 

@@ -1,6 +1,8 @@
 // Tests for the remote transport: wire-protocol robustness (truncated
 // frames and flipped bits must yield Status::Corruption, unknown
-// opcodes a typed NotSupported response, never a crash),
+// opcodes a typed NotSupported response, every bus opcode a typed
+// status under truncation and bit flips, never a crash), the versioned
+// hello,
 // RemoteBus <-> BusServer behavior over a loopback socket
 // (produce/poll, blocking poll wake-on-arrival, rebalance callback
 // streaming), the full remote api::Client quickstart flow, and
@@ -34,6 +36,7 @@ Frame SampleFrame() {
   frame.correlation_id = 0x12345;
   frame.opcode = static_cast<uint8_t>(OpCode::kProduce);
   PutLengthPrefixedSlice(&frame.payload, "topic");
+  PutVarsint64(&frame.payload, kPartitionByKey);
   PutLengthPrefixedSlice(&frame.payload, "key");
   PutLengthPrefixedSlice(&frame.payload, "payload-bytes");
   return frame;
@@ -88,31 +91,6 @@ TEST(WireTest, OversizedBodyLengthRejectedWithoutAllocating) {
   Slice in(wire);
   Frame decoded;
   EXPECT_TRUE(DecodeFrame(&in, &decoded).IsCorruption());
-}
-
-TEST(WireTest, MessageListRoundTrip) {
-  std::vector<Message> messages(3);
-  for (int i = 0; i < 3; ++i) {
-    messages[i].topic = "t";
-    messages[i].partition = i;
-    messages[i].offset = static_cast<uint64_t>(100 + i);
-    messages[i].key = "k" + std::to_string(i);
-    messages[i].payload = std::string(i * 7, 'p');
-    messages[i].publish_time = 1000 + i;
-    messages[i].visible_time = 1500 + i;
-  }
-  std::string encoded;
-  PutWireMessageList(&encoded, messages);
-  Slice in(encoded);
-  std::vector<Message> decoded;
-  ASSERT_TRUE(GetWireMessageList(&in, &decoded));
-  ASSERT_EQ(decoded.size(), messages.size());
-  for (size_t i = 0; i < messages.size(); ++i) {
-    EXPECT_EQ(decoded[i].offset, messages[i].offset);
-    EXPECT_EQ(decoded[i].key, messages[i].key);
-    EXPECT_EQ(decoded[i].payload, messages[i].payload);
-    EXPECT_EQ(decoded[i].visible_time, messages[i].visible_time);
-  }
 }
 
 std::vector<Message> SampleColumnarMessages() {
@@ -396,12 +374,18 @@ TEST_F(RemoteBusTest, ProducePollCommitSeekAcrossTheWire) {
   std::vector<Message> out;
   ASSERT_TRUE(remote_->Poll("c", 10, &out).ok());  // Assignment.
 
+  // Both single-record forms share kProduce and return the offset.
   for (int i = 0; i < 5; ++i) {
-    auto offset = remote_->ProduceToPartition("t", 0, "k",
-                                              "m" + std::to_string(i));
+    auto offset =
+        i % 2 == 0
+            ? remote_->ProduceToPartition("t", 0, "k", "m" + std::to_string(i))
+            : remote_->Produce("t", "k", "m" + std::to_string(i));
     ASSERT_TRUE(offset.ok());
     EXPECT_EQ(offset.value(), static_cast<uint64_t>(i));
   }
+  EXPECT_TRUE(remote_->ProduceToPartition("t", -1, "k", "v")
+                  .status()
+                  .IsInvalidArgument());
   ASSERT_TRUE(remote_->Poll("c", 10, &out).ok());
   ASSERT_EQ(out.size(), 5u);
   EXPECT_EQ(out[0].payload, "m0");
@@ -520,7 +504,6 @@ TEST_F(RemoteBusTest, ColumnarPollIsZeroCopyAndPoolStabilizes) {
   }
   EXPECT_GT(remote_->columnar_batches(), 0u);
   EXPECT_GT(server_->columnar_batches(), 0u);
-  EXPECT_TRUE(remote_->columnar_enabled());
   EXPECT_GT(remote_->decode_bytes(), 0u);
 }
 
@@ -537,60 +520,6 @@ TEST_F(RemoteBusTest, PollAdapterStillReturnsOwnedMessages) {
   EXPECT_EQ(out[0].key, "key");
   EXPECT_EQ(out[0].payload, "value");
   EXPECT_EQ(out[0].topic, "t");
-}
-
-TEST(RemoteBusFallbackTest, OldServerWithoutColumnarDowngradesOnce) {
-  BusOptions options;
-  options.delivery_delay = 0;
-  InProcessBus bus(options);
-  BusServerOptions server_options;
-  server_options.enable_columnar = false;  // Simulates a pre-PR-7 peer.
-  BusServer server(server_options, &bus);
-  ASSERT_TRUE(server.Start().ok());
-
-  // Direct check of the negotiation seam: the columnar opcodes answer
-  // exactly like an unknown opcode on an old server.
-  Frame probe;
-  probe.correlation_id = 9;
-  probe.opcode = static_cast<uint8_t>(OpCode::kPollColumnar);
-  const Frame probe_response = server.HandleRequest(probe);
-  Slice probe_in(probe_response.payload);
-  Status probe_status;
-  ASSERT_TRUE(GetStatus(&probe_in, &probe_status));
-  EXPECT_TRUE(probe_status.IsNotSupported());
-
-  RemoteBusOptions remote_options;
-  remote_options.address = server.address();
-  RemoteBus remote(remote_options);
-  ASSERT_TRUE(remote.Connect().ok());
-  ASSERT_TRUE(remote.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(remote.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
-  MessageBatch batch;
-  ASSERT_TRUE(remote.PollBatch("c", 10, &batch).ok());  // Assignment.
-
-  // Both columnar-first paths must fall back to the row forms and
-  // still deliver; afterwards the client remembers the downgrade.
-  std::vector<ProduceRecord> records;
-  records.push_back({"k0", "v0"});
-  records.push_back({"k1", "v1"});
-  ASSERT_TRUE(remote.ProduceBatch("t", std::move(records)).ok());
-  ASSERT_TRUE(remote.PollBatch("c", 10, &batch, kMicrosPerSecond).ok());
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].payload.ToString(), "v0");
-  EXPECT_EQ(batch[1].payload.ToString(), "v1");
-  EXPECT_TRUE(batch.zero_copy());  // Row decode is still pooled.
-  EXPECT_FALSE(remote.columnar_enabled());
-  EXPECT_EQ(remote.columnar_batches(), 0u);
-  EXPECT_EQ(server.columnar_batches(), 0u);
-
-  // Downgrade is sticky: subsequent batches go straight to row forms.
-  std::vector<ProduceRecord> more;
-  more.push_back({"k2", "v2"});
-  ASSERT_TRUE(remote.ProduceBatch("t", std::move(more)).ok());
-  ASSERT_TRUE(remote.PollBatch("c", 10, &batch, kMicrosPerSecond).ok());
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].payload.ToString(), "v2");
-  server.Stop();
 }
 
 TEST_F(RemoteBusTest, TraceTrailerCrossesTheWireToTheHostedBroker) {
@@ -611,7 +540,6 @@ TEST_F(RemoteBusTest, TraceTrailerCrossesTheWireToTheHostedBroker) {
     records.push_back({"k", "v"});
     ASSERT_TRUE(remote_->ProduceBatch("t", std::move(records)).ok());
   }
-  EXPECT_TRUE(remote_->trace_negotiated());
 
   // The hosted bus (the "server process" of this loopback pair)
   // recorded its append under the wire-carried context: same trace,
@@ -629,49 +557,241 @@ TEST_F(RemoteBusTest, TraceTrailerCrossesTheWireToTheHostedBroker) {
   tracer->ResetForTest();
 }
 
-TEST(RemoteBusFallbackTest, OldServerWithoutTraceDowngradesToUntraced) {
-  trace::Tracer* tracer = trace::Tracer::Global();
-  tracer->ResetForTest();
-  trace::TracerOptions trace_options;
-  trace_options.sample_every = 1;
-  tracer->Enable(trace_options);
+// One valid request payload per surviving bus opcode (kProduce twice:
+// by key and to an explicit partition), against the state that
+// BusOpcodeFuzzBus sets up.
+std::vector<std::pair<OpCode, std::string>> ValidBusRequests() {
+  std::vector<std::pair<OpCode, std::string>> requests;
+  auto add = [&requests](OpCode opcode) -> std::string* {
+    requests.emplace_back(opcode, std::string());
+    return &requests.back().second;
+  };
+  std::string* p = add(OpCode::kCreateTopic);
+  PutLengthPrefixedSlice(p, "fresh");
+  PutVarint32(p, 2);
+  PutLengthPrefixedSlice(add(OpCode::kDeleteTopic), "doomed");
+  PutLengthPrefixedSlice(add(OpCode::kNumPartitions), "t");
+  PutLengthPrefixedSlice(add(OpCode::kPartitionsOf), "t");
+  for (const int64_t partition : {kPartitionByKey, int64_t{0}}) {
+    p = add(OpCode::kProduce);
+    PutLengthPrefixedSlice(p, "t");
+    PutVarsint64(p, partition);
+    PutLengthPrefixedSlice(p, "key");
+    PutLengthPrefixedSlice(p, "value");
+  }
+  p = add(OpCode::kSubscribe);
+  PutLengthPrefixedSlice(p, "s");
+  PutLengthPrefixedSlice(p, "gs");
+  PutVarint32(p, 1);
+  PutLengthPrefixedSlice(p, "t");
+  PutLengthPrefixedSlice(p, "meta");
+  PutLengthPrefixedSlice(add(OpCode::kUnsubscribe), "u");
+  p = add(OpCode::kFetch);
+  PutTopicPartition(p, {"t", 0});
+  PutVarint64(p, 0);
+  PutVarint64(p, 10);
+  for (const OpCode opcode : {OpCode::kCommit, OpCode::kSeek}) {
+    p = add(opcode);
+    PutLengthPrefixedSlice(p, "c");
+    PutTopicPartition(p, {"t", 0});
+    PutVarint64(p, 1);
+  }
+  PutTopicPartition(add(OpCode::kEndOffset), {"t", 0});
+  PutTopicPartition(add(OpCode::kBaseOffset), {"t", 0});
+  PutLengthPrefixedSlice(add(OpCode::kKillConsumer), "k");
+  PutLengthPrefixedSlice(add(OpCode::kWakeConsumer), "c");
+  add(OpCode::kWake);
+  PutLengthPrefixedSlice(add(OpCode::kAssignmentOf), "c");
+  add(OpCode::kCheckLiveness);
+  add(OpCode::kRebalanceCount);
+  p = add(OpCode::kPollColumnar);
+  PutLengthPrefixedSlice(p, "c");
+  PutVarint64(p, 10);
+  PutVarsint64(p, 0);  // Never park: flips stay within 64 us.
+  PutColumnarProduceBatch(add(OpCode::kProduceColumnar), "t",
+                          {{"k1", "v1"}, {"k2", "v2"}});
+  PutVarint32(add(OpCode::kHello), kWireVersion);
+  return requests;
+}
 
+// Topic "t" with one message, "doomed" to delete, and consumers "c"
+// (assigned t/0), "u" and "k" for the requests above to act on.
+std::unique_ptr<InProcessBus> BusOpcodeFuzzBus() {
+  BusOptions options;
+  options.delivery_delay = 0;
+  auto bus = std::make_unique<InProcessBus>(options);
+  EXPECT_TRUE(bus->CreateTopic("t", 1).ok());
+  EXPECT_TRUE(bus->CreateTopic("doomed", 1).ok());
+  EXPECT_TRUE(bus->ProduceToPartition("t", 0, "k", "v").ok());
+  for (const char* consumer : {"c", "u", "k"}) {
+    EXPECT_TRUE(bus->Subscribe(consumer, std::string("g") + consumer, {"t"},
+                               "", nullptr, {})
+                    .ok());
+    std::vector<Message> out;
+    EXPECT_TRUE(bus->Poll(consumer, 10, &out).ok());
+  }
+  return bus;
+}
+
+Status SendToServer(BusServer* server, OpCode opcode,
+                    const std::string& payload, std::string* result) {
+  Frame request;
+  request.correlation_id = 5;
+  request.opcode = static_cast<uint8_t>(opcode);
+  request.payload = payload;
+  const Frame response = server->HandleRequest(request);
+  EXPECT_EQ(response.correlation_id, request.correlation_id);
+  EXPECT_EQ(response.opcode, request.opcode | kResponseBit);
+  Slice in(response.payload);
+  Status status;
+  if (!GetStatus(&in, &status)) {
+    ADD_FAILURE() << "untyped response to opcode " << int{request.opcode};
+    return Status::Corruption("untyped response");
+  }
+  if (result != nullptr) result->assign(in.data(), in.size());
+  return status;
+}
+
+TEST(BusServerTest, EveryBusOpcodeSurvivesTruncationAndBitFlips) {
+  const auto requests = ValidBusRequests();
+  std::set<OpCode> covered;
+  for (const auto& [opcode, payload] : requests) covered.insert(opcode);
+  EXPECT_EQ(covered.size(), 21u);  // Every bus opcode of wire.h.
+
+  for (const auto& [opcode, payload] : requests) {
+    // A fresh bus per opcode, so what one request mutates (a deleted
+    // topic, a killed consumer) cannot mask another's paths.
+    auto bus = BusOpcodeFuzzBus();
+    BusServer server(BusServerOptions{}, bus.get());
+    const int op = static_cast<int>(opcode);
+    const Status valid = SendToServer(&server, opcode, payload, nullptr);
+    EXPECT_TRUE(valid.ok()) << "opcode " << op << ": " << valid.ToString();
+
+    // Every field is required, so every strict prefix is malformed.
+    for (size_t len = 0; len < payload.size(); ++len) {
+      std::string result;
+      const Status status =
+          SendToServer(&server, opcode, payload.substr(0, len), &result);
+      EXPECT_TRUE(status.IsCorruption())
+          << "opcode " << op << " prefix " << len << ": " << status.ToString();
+      EXPECT_TRUE(result.empty()) << "opcode " << op << " prefix " << len;
+    }
+    // A flipped bit may still decode to a different valid request;
+    // either way the answer is a typed status (SendToServer checks).
+    for (size_t i = 0; i < payload.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mutated = payload;
+        mutated[i] = static_cast<char>(mutated[i] ^ (1 << bit));
+        (void)SendToServer(&server, opcode, mutated, nullptr);
+      }
+    }
+    // Trailing bytes after the declared fields are malformed too.
+    EXPECT_TRUE(SendToServer(&server, opcode, payload + "x", nullptr)
+                    .IsCorruption())
+        << "opcode " << op;
+  }
+}
+
+TEST(BusServerTest, ProduceTrailerMustBeExactlyOneTraceTrailer) {
+  auto bus = BusOpcodeFuzzBus();
+  BusServer server(BusServerOptions{}, bus.get());
+  std::string records;
+  PutColumnarProduceBatch(&records, "t", {{"k", "v"}});
+  trace::TraceContext ctx;
+  ctx.trace_hi = 1;
+  ctx.trace_lo = 2;
+  ctx.span_id = 3;
+  std::string trailer;
+  trace::AppendTraceTrailer(ctx, &trailer);
+  ASSERT_EQ(trailer.size(), trace::kTraceTrailerSize);
+  std::string bad_checksum = trailer;
+  bad_checksum.back() = static_cast<char>(bad_checksum.back() ^ 1);
+
+  EXPECT_TRUE(
+      SendToServer(&server, OpCode::kProduceColumnar, records, nullptr).ok());
+  EXPECT_TRUE(SendToServer(&server, OpCode::kProduceColumnar,
+                           records + trailer, nullptr)
+                  .ok());
+  const uint64_t end = bus->EndOffset({"t", 0}).value();
+  for (const std::string& rest :
+       {std::string("x"), trailer.substr(1), trailer + "x", trailer + trailer,
+        bad_checksum, std::string(trace::kTraceTrailerSize, '\0')}) {
+    EXPECT_TRUE(SendToServer(&server, OpCode::kProduceColumnar,
+                             records + rest, nullptr)
+                    .IsCorruption())
+        << rest.size() << " trailing bytes";
+  }
+  EXPECT_EQ(bus->EndOffset({"t", 0}).value(), end);  // Nothing appended.
+}
+
+TEST(RemoteBusHelloTest, VersionMismatchFailsLoudlyAndServerKeepsServing) {
   BusOptions options;
   options.delivery_delay = 0;
   InProcessBus bus(options);
-  BusServerOptions server_options;
-  server_options.enable_trace = false;  // Simulates a pre-trace peer.
-  BusServer server(server_options, &bus);
+  BusServer server(BusServerOptions{}, &bus);
   ASSERT_TRUE(server.Start().ok());
 
+  // A peer announcing another version gets a typed refusal, and the
+  // server keeps answering on the same connection.
+  auto sock_or = Socket::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(sock_or.ok());
+  Socket sock = std::move(sock_or).value();
+  for (const uint32_t version : {kWireVersion + 1, kWireVersion}) {
+    Frame hello;
+    hello.correlation_id = version;
+    hello.opcode = static_cast<uint8_t>(OpCode::kHello);
+    PutVarint32(&hello.payload, version);
+    std::string wire;
+    EncodeFrame(hello, &wire);
+    ASSERT_TRUE(sock.SendAll(wire.data(), wire.size()).ok());
+    Frame response;
+    ASSERT_TRUE(ReadFrame(&sock, &response).ok());
+    Slice in(response.payload);
+    Status status;
+    ASSERT_TRUE(GetStatus(&in, &status));
+    EXPECT_EQ(status.code(), version == kWireVersion
+                                 ? StatusCode::kOk
+                                 : StatusCode::kNotSupported)
+        << status.ToString();
+  }
+
+  // The client side: a relay rewrites the RemoteBus's hello to announce
+  // another version and returns the real server's answer to it.
+  auto relay_or = ListenSocket::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(relay_or.ok());
+  ListenSocket relay = std::move(relay_or).value();
+  std::thread relay_thread([&relay, &server] {
+    auto accepted = relay.Accept();
+    if (!accepted.ok()) return;
+    Socket conn = std::move(accepted).value();
+    Frame hello;
+    if (!ReadFrame(&conn, &hello).ok()) return;
+    hello.payload.clear();
+    PutVarint32(&hello.payload, kWireVersion + 1);
+    std::string wire;
+    EncodeFrame(server.HandleRequest(hello), &wire);
+    (void)conn.SendAll(wire.data(), wire.size());
+  });
   RemoteBusOptions remote_options;
-  remote_options.address = server.address();
-  RemoteBus remote(remote_options);
-  ASSERT_TRUE(remote.Connect().ok());
-  ASSERT_TRUE(remote.CreateTopic("t", 1).ok());
+  remote_options.address = "127.0.0.1:" + std::to_string(relay.port());
+  RemoteBus mismatched(remote_options);
+  const Status connected = mismatched.Connect();
+  relay_thread.join();
+  EXPECT_TRUE(connected.IsNotSupported()) << connected.ToString();
+  EXPECT_NE(connected.ToString().find("version"), std::string::npos);
+  // Every later call fails with the same typed error, without a dial
+  // (the relay is gone, so a dial could only fail Unavailable).
+  relay.Close();
+  const Status later = mismatched.CreateTopic("never", 1);
+  EXPECT_TRUE(later.IsNotSupported()) << later.ToString();
+  EXPECT_EQ(mismatched.dial_attempts(), 1u);
 
-  const trace::TraceContext ctx = tracer->Mint();
-  ASSERT_TRUE(ctx.sampled());
-  {
-    trace::ScopedTraceContext scope(ctx);
-    std::vector<ProduceRecord> records;
-    records.push_back({"k", "v"});
-    ASSERT_TRUE(remote.ProduceBatch("t", std::move(records)).ok());
-  }
-  // kTraceHello answered NotSupported; the downgrade is sticky and
-  // delivery is unaffected — the append just has no trace context.
-  EXPECT_FALSE(remote.trace_negotiated());
-  std::vector<Message> out;
-  ASSERT_TRUE(bus.Fetch({"t", 0}, 0, 10, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].payload, "v");
-
-  tracer->Drain();
-  for (const auto& span : tracer->CollectedSpans()) {
-    EXPECT_NE(span.parent_id, ctx.span_id);  // Nothing linked under it.
-  }
+  RemoteBusOptions good_options;
+  good_options.address = server.address();
+  RemoteBus good(good_options);
+  ASSERT_TRUE(good.Connect().ok());
+  EXPECT_TRUE(good.CreateTopic("after-mismatch", 1).ok());
   server.Stop();
-  tracer->ResetForTest();
 }
 
 TEST_F(RemoteBusTest, ServerDeathSurfacesUnavailable) {
@@ -864,9 +984,9 @@ TEST(SubWireTest, BitFlipsYieldTypedStatusesNeverACrash) {
 }
 
 TEST(BusServerTest, SubscriptionOpcodesOnAPlainServerAreNotSupported) {
-  // A BusServer without the broker's extension handler — the shape of a
-  // pre-subscription peer — answers the new opcodes exactly like any
-  // unknown opcode: typed NotSupported, never Corruption or a crash.
+  // A BusServer without the broker's extension handler has no
+  // subscription hub: it answers the subscription opcodes like any
+  // unknown opcode, typed NotSupported, never Corruption or a crash.
   BusOptions options;
   options.delivery_delay = 0;
   InProcessBus bus(options);
@@ -1264,10 +1384,9 @@ TEST(RemoteClientTest, PipelineRoutesAndSubscriptionTailsEndToEnd) {
   harness.Stop();
 }
 
-TEST(RemoteClientTest, SubscribeDowngradesStickilyOnOldServers) {
-  // A plain BusServer (no broker extension) is the shape of a peer
-  // predating the subscription opcodes: the first Subscribe gets the
-  // server's typed NotSupported, and the client never asks again.
+TEST(RemoteClientTest, SubscribeOnAPlainBusServerIsNotSupported) {
+  // A plain BusServer (no broker extension) has no subscription hub:
+  // every Subscribe asks it again and gets its typed NotSupported.
   msg::BusOptions bus_options;
   bus_options.delivery_delay = 0;
   msg::InProcessBus bus(bus_options);
@@ -1278,17 +1397,13 @@ TEST(RemoteClientTest, SubscribeDowngradesStickilyOnOldServers) {
   options.remote_address = server.address();
   Client client(options);
   ASSERT_TRUE(client.Start().ok());
-  EXPECT_TRUE(client.Subscribe("SUBSCRIBE SELECT * FROM payments")
-                  .status()
-                  .IsNotSupported());
-
-  // Sticky: with the server gone, a second Subscribe still answers
-  // NotSupported — proof it failed fast locally instead of dialing.
-  server.Stop();
-  EXPECT_TRUE(client.Subscribe("SUBSCRIBE SELECT * FROM payments")
-                  .status()
-                  .IsNotSupported());
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(client.Subscribe("SUBSCRIBE SELECT * FROM payments")
+                    .status()
+                    .IsNotSupported());
+  }
   client.Stop();
+  server.Stop();
 }
 
 }  // namespace
