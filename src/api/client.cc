@@ -6,7 +6,6 @@
 
 #include <algorithm>
 
-#include "api/remote_ddl.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/random.h"
@@ -21,8 +20,8 @@ namespace railgun::api {
 
 namespace {
 
-// Process-unique id for a remote client: names its reply topics and
-// salts its request ids, so independent clients (and restarts of the
+// Process-unique id for a client: names its front end's reply topic
+// and salts its event ids, so independent clients (and restarts of the
 // same client) never collide on the shared bus. The per-process
 // counter keeps clients created within the same microsecond distinct.
 std::string RandomClientId() {
@@ -56,6 +55,41 @@ void FinishRootSpan(const trace::TraceContext& ctx, Micros start_us,
                 static_cast<unsigned long long>(ctx.trace_hi),
                 static_cast<unsigned long long>(ctx.trace_lo));
   }
+}
+
+// Every statement the DDL entry points accept, parsed once: the DDL
+// forms, or a bare SELECT registering a metric like ADD METRIC.
+StatusOr<query::DdlStatement> ParseStatement(const std::string& statement) {
+  if (query::IsDdlStatement(statement)) return query::ParseDdl(statement);
+  if (query::IsSubscribeStatement(statement)) {
+    return Status::InvalidArgument(
+        "SUBSCRIBE returns a live tail; use Client::Subscribe()");
+  }
+  RAILGUN_ASSIGN_OR_RETURN(query::QueryDef metric,
+                           query::ParseQuery(statement));
+  query::DdlStatement ddl;
+  ddl.kind = query::DdlKind::kAddMetric;
+  ddl.metric = std::move(metric);
+  return ddl;
+}
+
+// The typed entry point's complaint about a statement of another kind.
+const char* UsageFor(query::DdlKind kind) {
+  if (kind == query::DdlKind::kAddMetric) {
+    return "Query() takes ADD METRIC / SELECT statements; use "
+           "CreateStream() for CREATE STREAM";
+  }
+  if (kind == query::DdlKind::kAddPipeline) {
+    return "AddPipeline() takes ADD PIPELINE statements";
+  }
+  return "CreateStream() takes CREATE STREAM statements";
+}
+
+// The stream a statement declares or extends.
+const std::string& StreamOf(const query::DdlStatement& ddl) {
+  if (ddl.kind == query::DdlKind::kAddMetric) return ddl.metric.stream;
+  if (ddl.kind == query::DdlKind::kAddPipeline) return ddl.pipeline.stream;
+  return ddl.create_stream.name;
 }
 
 }  // namespace
@@ -101,10 +135,8 @@ Client::Client(const ClientOptions& options)
     remote_frontend_.reset(new engine::FrontEnd(
         frontend_options, "client-" + client_id_, remote_bus_.get(),
         clock_));
-    remote_ddl_.reset(
-        new RemoteDdlClient(remote_bus_.get(), client_id_, clock_));
-    // The stub shares the bus's control connection (and so its
-    // reconnect backoff and clock domain).
+    // The stub shares the bus's connections (and so its reconnect
+    // backoff and clock domain).
     meta_.reset(new meta::MetaClient(remote_bus_.get()));
   }
   if (!remote()) {
@@ -158,7 +190,6 @@ void Client::Stop() {
   if (!started_) return;
   if (remote()) {
     remote_frontend_->Stop();
-    remote_ddl_->Shutdown();
     started_ = false;
     return;
   }
@@ -235,56 +266,6 @@ Status Client::AddPipelineLocal(query::PipelineSpec pipeline) {
   return WaitForRegistration(options_.request_timeout);
 }
 
-Status Client::RemoteAddPipeline(const std::string& statement,
-                                 query::PipelineSpec pipeline) {
-  RAILGUN_RETURN_IF_ERROR(EnsureStream(pipeline.stream));
-  {
-    MutexLock lock(&mu_);
-    auto it = streams_.find(pipeline.stream);
-    if (it == streams_.end()) {
-      return Status::NotFound("unknown stream: " + pipeline.stream);
-    }
-    for (const auto& existing : it->second.pipelines) {
-      if (existing.raw == pipeline.raw) {
-        return Status::AlreadyExists("pipeline already registered: " +
-                                     pipeline.raw);
-      }
-    }
-    RAILGUN_RETURN_IF_ERROR(
-        ops::Pipeline::Compile(pipeline.raw,
-                               reservoir::Schema(0, it->second.fields),
-                               /*registry=*/nullptr)
-            .status());
-  }
-  // As with streams/metrics, AlreadyExists still syncs the local view.
-  const Status executed =
-      remote_ddl_->Execute(statement, options_.request_timeout);
-  if (!executed.ok() && !executed.IsAlreadyExists()) return executed;
-  {
-    MutexLock lock(&mu_);
-    auto it = streams_.find(pipeline.stream);
-    if (it != streams_.end()) {
-      bool known = false;
-      for (const auto& existing : it->second.pipelines) {
-        known = known || existing.raw == pipeline.raw;
-      }
-      if (!known) it->second.pipelines.push_back(std::move(pipeline));
-    }
-  }
-  return executed;
-}
-
-Status Client::AddPipeline(const std::string& statement) {
-  RAILGUN_ASSIGN_OR_RETURN(query::DdlStatement ddl,
-                           query::ParseDdl(statement));
-  if (ddl.kind != query::DdlKind::kAddPipeline) {
-    return Status::InvalidArgument(
-        "AddPipeline() takes ADD PIPELINE statements");
-  }
-  if (remote()) return RemoteAddPipeline(statement, std::move(ddl.pipeline));
-  return AddPipelineLocal(std::move(ddl.pipeline));
-}
-
 std::vector<query::PipelineSpec> Client::ListPipelines() const {
   MutexLock lock(&mu_);
   std::vector<query::PipelineSpec> out;
@@ -319,67 +300,28 @@ StatusOr<std::unique_ptr<Subscription>> Client::Subscribe(
   return std::unique_ptr<Subscription>(new Subscription(hub, id));
 }
 
-Status Client::RemoteAddStream(const std::string& statement,
-                               engine::StreamDef stream) {
-  {
-    MutexLock lock(&mu_);
-    if (streams_.count(stream.name) > 0) {
-      return Status::AlreadyExists("stream already exists: " + stream.name);
-    }
-  }
-  // The broker's metadata service replies only after the cluster
-  // applied the statement on every alive unit, so no second
-  // registration wait is needed.
-  // AlreadyExists means the cluster has the stream (e.g. this client
-  // reattached after a restart): still register it locally so the
-  // client can bind and submit rows, and let the caller see the typed
-  // status.
-  const Status executed =
-      remote_ddl_->Execute(statement, options_.request_timeout);
+Status Client::RemoteDdl(const std::string& statement,
+                         const std::string& stream) {
+  // The broker's metadata service is the single validator, and answers
+  // only after the cluster applied the statement on every alive unit.
+  // AlreadyExists means the cluster has the definition (e.g. this client
+  // reattached after a restart): still refresh the mirror so the client
+  // can bind and submit rows, and let the caller see the typed status.
+  const Status executed = meta_->ExecuteDdl(statement);
   if (!executed.ok() && !executed.IsAlreadyExists()) return executed;
-  // Teach the client's own front end the fan-out routing (topic
-  // creation over the remote bus is idempotent).
-  RAILGUN_RETURN_IF_ERROR(remote_frontend_->RegisterStream(stream));
-  {
-    MutexLock lock(&mu_);
-    streams_[stream.name] = std::move(stream);
-  }
+  RAILGUN_RETURN_IF_ERROR(FetchStream(stream));
   return executed;
 }
 
-Status Client::RemoteAddMetric(const std::string& statement,
-                               query::QueryDef metric) {
-  // Foreign streams are fair game: fetch the definition from the
-  // metadata service before validating the metric against it.
-  RAILGUN_RETURN_IF_ERROR(EnsureStream(metric.stream));
-  {
-    MutexLock lock(&mu_);
-    auto it = streams_.find(metric.stream);
-    if (it == streams_.end()) {
-      return Status::NotFound("unknown stream: " + metric.stream);
-    }
-    RAILGUN_RETURN_IF_ERROR(
-        it->second.PartitionerForQuery(metric).status());
-    for (const auto& existing : it->second.queries) {
-      if (existing.raw == metric.raw) {
-        return Status::AlreadyExists("metric already registered: " +
-                                     metric.raw);
-      }
-    }
-  }
-  // As with streams, AlreadyExists still syncs the client's local view
-  // (the cluster knows this metric from a previous attachment).
-  const Status executed =
-      remote_ddl_->Execute(statement, options_.request_timeout);
-  if (!executed.ok() && !executed.IsAlreadyExists()) return executed;
-  {
-    MutexLock lock(&mu_);
-    auto it = streams_.find(metric.stream);
-    if (it != streams_.end()) {
-      it->second.queries.push_back(std::move(metric));
-    }
-  }
-  return executed;
+Status Client::FetchStream(const std::string& stream) {
+  RAILGUN_ASSIGN_OR_RETURN(engine::StreamDef def, meta_->GetStream(stream));
+  // Teach the client's own front end the fan-out routing (topic
+  // creation over the remote bus is idempotent).
+  RAILGUN_RETURN_IF_ERROR(remote_frontend_->RegisterStream(def));
+  MutexLock lock(&mu_);
+  unknown_streams_.erase(stream);
+  streams_[stream] = std::move(def);
+  return Status::OK();
 }
 
 Status Client::EnsureStream(const std::string& stream) {
@@ -399,33 +341,23 @@ Status Client::EnsureStream(const std::string& stream) {
     }
   }
   if (!remote()) return Status::NotFound("unknown stream: " + stream);
-  auto def_or = meta_->GetStream(stream);
-  if (!def_or.ok()) {
-    // Transport failures stay Unavailable and wire corruption stays
-    // Corruption (both retryable). A broker without a metadata service
-    // answers the RPC itself with a typed NotSupported ("unknown
-    // opcode"); that and a plain miss both mean the stream cannot be
-    // resolved — keep the submit paths' typed NotFound.
-    const Status& status = def_or.status();
-    if (!status.IsNotFound() && !status.IsNotSupported()) return status;
-    MutexLock lock(&mu_);
-    // The negative cache is bounded: expired entries are swept on
-    // insert, so it holds at most the distinct unknown names of the
-    // last TTL window.
-    for (auto it = unknown_streams_.begin();
-         it != unknown_streams_.end();) {
-      it = now < it->second ? std::next(it) : unknown_streams_.erase(it);
-    }
-    unknown_streams_[stream] = now + options_.unknown_stream_ttl;
-    return Status::NotFound("unknown stream: " + stream + " (metadata: " +
-                            status.ToString() + ")");
-  }
-  engine::StreamDef def = std::move(def_or).value();
-  RAILGUN_RETURN_IF_ERROR(remote_frontend_->RegisterStream(def));
+  const Status status = FetchStream(stream);
+  // Success passes through, transport failures stay Unavailable and
+  // wire corruption stays Corruption (both retryable). A broker without a metadata service
+  // answers the RPC itself with a typed NotSupported ("unknown
+  // opcode"); that and a plain miss both mean the stream cannot be
+  // resolved — keep the submit paths' typed NotFound.
+  if (!status.IsNotFound() && !status.IsNotSupported()) return status;
   MutexLock lock(&mu_);
-  streams_.emplace(def.name, std::move(def));
-  unknown_streams_.erase(stream);
-  return Status::OK();
+  // The negative cache is bounded: expired entries are swept on insert,
+  // so it holds at most the distinct unknown names of the last TTL
+  // window.
+  for (auto it = unknown_streams_.begin(); it != unknown_streams_.end();) {
+    it = now < it->second ? std::next(it) : unknown_streams_.erase(it);
+  }
+  unknown_streams_[stream] = now + options_.unknown_stream_ttl;
+  return Status::NotFound("unknown stream: " + stream + " (metadata: " +
+                          status.ToString() + ")");
 }
 
 Status Client::WaitForRegistration(Micros timeout) {
@@ -454,65 +386,41 @@ Status Client::WaitForRegistration(Micros timeout) {
 }
 
 Status Client::CreateStream(const std::string& ddl) {
-  RAILGUN_ASSIGN_OR_RETURN(query::StreamSchemaDef schema,
-                           query::ParseCreateStream(ddl));
-  engine::StreamDef stream;
-  stream.name = std::move(schema.name);
-  stream.fields = std::move(schema.fields);
-  stream.partitioners = std::move(schema.partitioners);
-  stream.partitions_per_topic = schema.partitions_per_topic;
-  if (remote()) return RemoteAddStream(ddl, std::move(stream));
-  return AddStream(std::move(stream));
+  return RunDdl(ddl, query::DdlKind::kCreateStream);
 }
 
 Status Client::Query(const std::string& statement) {
-  if (query::IsDdlStatement(statement)) {
-    RAILGUN_ASSIGN_OR_RETURN(query::DdlStatement ddl,
-                             query::ParseDdl(statement));
-    if (ddl.kind != query::DdlKind::kAddMetric) {
-      return Status::InvalidArgument(
-          "Query() takes ADD METRIC / SELECT statements; use "
-          "CreateStream() for CREATE STREAM");
-    }
-    if (remote()) return RemoteAddMetric(statement, std::move(ddl.metric));
-    return AddMetric(std::move(ddl.metric));
-  }
-  RAILGUN_ASSIGN_OR_RETURN(query::QueryDef metric,
-                           query::ParseQuery(statement));
-  if (remote()) return RemoteAddMetric(statement, std::move(metric));
-  return AddMetric(std::move(metric));
+  return RunDdl(statement, query::DdlKind::kAddMetric);
+}
+
+Status Client::AddPipeline(const std::string& statement) {
+  return RunDdl(statement, query::DdlKind::kAddPipeline);
 }
 
 Status Client::Execute(const std::string& statement) {
-  if (query::IsDdlStatement(statement)) {
-    RAILGUN_ASSIGN_OR_RETURN(query::DdlStatement ddl,
-                             query::ParseDdl(statement));
-    if (ddl.kind == query::DdlKind::kCreateStream) {
-      engine::StreamDef stream;
-      stream.name = std::move(ddl.create_stream.name);
-      stream.fields = std::move(ddl.create_stream.fields);
-      stream.partitioners = std::move(ddl.create_stream.partitioners);
-      stream.partitions_per_topic = ddl.create_stream.partitions_per_topic;
-      if (remote()) return RemoteAddStream(statement, std::move(stream));
-      return AddStream(std::move(stream));
-    }
-    if (ddl.kind == query::DdlKind::kAddPipeline) {
-      if (remote()) {
-        return RemoteAddPipeline(statement, std::move(ddl.pipeline));
-      }
-      return AddPipelineLocal(std::move(ddl.pipeline));
-    }
-    if (remote()) return RemoteAddMetric(statement, std::move(ddl.metric));
+  return RunDdl(statement, std::nullopt);
+}
+
+Status Client::RunDdl(const std::string& statement,
+                      std::optional<query::DdlKind> expected) {
+  RAILGUN_ASSIGN_OR_RETURN(query::DdlStatement ddl,
+                           ParseStatement(statement));
+  if (expected.has_value() && ddl.kind != *expected) {
+    return Status::InvalidArgument(UsageFor(*expected));
+  }
+  if (remote()) return RemoteDdl(statement, StreamOf(ddl));
+  if (ddl.kind == query::DdlKind::kAddMetric) {
     return AddMetric(std::move(ddl.metric));
   }
-  if (query::IsSubscribeStatement(statement)) {
-    return Status::InvalidArgument(
-        "SUBSCRIBE returns a live tail; use Client::Subscribe()");
+  if (ddl.kind == query::DdlKind::kAddPipeline) {
+    return AddPipelineLocal(std::move(ddl.pipeline));
   }
-  RAILGUN_ASSIGN_OR_RETURN(query::QueryDef metric,
-                           query::ParseQuery(statement));
-  if (remote()) return RemoteAddMetric(statement, std::move(metric));
-  return AddMetric(std::move(metric));
+  engine::StreamDef stream;
+  stream.name = std::move(ddl.create_stream.name);
+  stream.fields = std::move(ddl.create_stream.fields);
+  stream.partitioners = std::move(ddl.create_stream.partitioners);
+  stream.partitions_per_topic = ddl.create_stream.partitions_per_topic;
+  return AddStream(std::move(stream));
 }
 
 std::vector<std::string> Client::ListStreams() const {

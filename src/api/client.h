@@ -24,6 +24,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,7 @@
 #include "engine/admission.h"
 #include "engine/cluster.h"
 #include "introspect/internals.h"
+#include "query/ddl.h"
 
 namespace railgun::msg::remote {
 class RemoteBus;
@@ -45,8 +47,6 @@ class MetaClient;
 }  // namespace railgun::meta
 
 namespace railgun::api {
-
-class RemoteDdlClient;
 
 struct ClientOptions {
   // Topology of the owned cluster.
@@ -61,12 +61,13 @@ struct ClientOptions {
 
   // When set ("host:port" of a msg::remote::BusServer), the client owns
   // no cluster: it attaches to the remote one over the network, running
-  // its own front end against a RemoteBus and shipping DDL through the
-  // bus to the broker's metadata service (see src/api/remote_ddl.h and
-  // src/meta/). The topology fields above are ignored. Schemas of
-  // streams this client did not declare are fetched on demand from the
-  // metadata service; admin() answers node/stream listings from the
-  // metadata view and mutating calls degrade to Unavailable.
+  // its own front end against a RemoteBus and executing DDL as one
+  // synchronous kMetaDdl RPC in the broker's metadata service (see
+  // src/meta/), which is then the single validator. The topology fields
+  // above are ignored. Schemas of streams this client did not declare
+  // are fetched on demand from the metadata service; admin() answers
+  // node/stream listings from the metadata view and mutating calls
+  // degrade to Unavailable.
   std::string remote_address;
 
   // Remote mode: how long a metadata miss ("unknown stream") is cached
@@ -204,18 +205,20 @@ class Client {
   engine::Cluster* cluster() { return cluster_; }
 
  private:
+  // The one DDL core behind CreateStream/Query/AddPipeline/Execute:
+  // parses once, rejects a statement of another kind than `expected`
+  // (when set), then applies it locally or ships it to the broker.
+  Status RunDdl(const std::string& statement,
+                std::optional<query::DdlKind> expected);
   Status AddStream(engine::StreamDef stream);
   Status AddMetric(query::QueryDef metric);
   Status AddPipelineLocal(query::PipelineSpec pipeline);
-  Status RemoteAddPipeline(const std::string& statement,
-                           query::PipelineSpec pipeline);
-  // Remote-mode DDL: ships the raw statement to the broker's metadata
-  // service, then applies the already-parsed definition to the
-  // client's local registry and front end.
-  Status RemoteAddStream(const std::string& statement,
-                         engine::StreamDef stream);
-  Status RemoteAddMetric(const std::string& statement,
-                         query::QueryDef metric);
+  // Remote mode: executes the raw statement in the broker's metadata
+  // service, then refreshes the client's mirror of `stream`.
+  Status RemoteDdl(const std::string& statement, const std::string& stream);
+  // Remote mode: loads `stream`'s definition from the metadata service
+  // into the client's front end and registry mirror.
+  Status FetchStream(const std::string& stream);
   // Blocks until every alive processor unit has applied its enqueued
   // stream registrations (or the timeout elapses).
   Status WaitForRegistration(Micros timeout);
@@ -243,7 +246,6 @@ class Client {
   std::string client_id_;
   std::unique_ptr<msg::remote::RemoteBus> remote_bus_;
   std::unique_ptr<engine::FrontEnd> remote_frontend_;
-  std::unique_ptr<RemoteDdlClient> remote_ddl_;
   std::unique_ptr<meta::MetaClient> meta_;
 
   // Null unless ClientOptions::noreply_tokens_per_sec > 0.

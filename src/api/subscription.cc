@@ -1,10 +1,21 @@
 #include "api/subscription.h"
 
+#include <string>
+
 #include "msg/remote/remote_bus.h"
 #include "msg/remote/wire.h"
 #include "ops/subscription.h"
 
 namespace railgun::api {
+
+namespace {
+
+// The RemoteBus lane a remote tail long-polls on.
+std::string FetchLane(uint64_t sub_id) {
+  return "sub." + std::to_string(sub_id);
+}
+
+}  // namespace
 
 Subscription::Subscription(ops::SubscriptionHub* hub, uint64_t id)
     : id_(id), hub_(hub) {}
@@ -34,9 +45,11 @@ Status Subscription::Next(std::vector<ops::SubRecord>* records,
     request.max_wait_us = max_wait;
     std::string payload, result;
     EncodeSubFetchRequest(request, &payload);
+    // The server parks this long-poll, so it rides the subscription's
+    // own lane: the client's produces never queue behind it.
     fetched = bus_->CallOpcode(
         static_cast<uint8_t>(msg::remote::OpCode::kSubFetch), payload,
-        &result);
+        &result, FetchLane(id_));
     if (fetched.ok()) {
       fetched = DecodeSubFetchReply(Slice(result), &reply);
     }
@@ -69,6 +82,7 @@ Status Subscription::Cancel() {
   const Status s = bus_->CallOpcode(
       static_cast<uint8_t>(msg::remote::OpCode::kSubCancel), payload,
       &result);
+  bus_->CloseLane(FetchLane(id_));
   return s.IsNotFound() ? Status::OK() : s;
 }
 

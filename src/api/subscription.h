@@ -59,7 +59,8 @@ class Subscription {
   friend class Client;
   // Local tail: served directly by the in-process hub.
   Subscription(ops::SubscriptionHub* hub, uint64_t id);
-  // Remote tail: kSubFetch/kSubCancel RPCs on the control connection.
+  // Remote tail: kSubFetch long-polls on a RemoteBus lane of its own,
+  // kSubCancel on the control connection.
   Subscription(msg::remote::RemoteBus* bus, uint64_t id);
 
   const uint64_t id_;

@@ -16,7 +16,7 @@
 // thread-safety model"):
 //
 //   7xx  cross-layer serializers (meta DDL, workload drivers)
-//   6xx  api      (client facade, remote DDL, result futures)
+//   6xx  api      (client facade, subscriptions, result futures)
 //   5xx  meta     (metadata service, worker sync/heartbeat)
 //   4xx  engine   (cluster > frontend > units > admission)
 //   3xx  msg      (server > groups > topics > partitions > wire)
@@ -104,8 +104,6 @@ enum LockRank : int {
   // --- api (6xx) ------------------------------------------------------
   kRankApiSubscription = 605,    // api::Subscription stub (held across
                                  // RemoteBus subscription RPCs)
-  kRankApiRemoteDdl = 610,       // RemoteDdlClient (held across bus
-                                 // produce/poll round trips)
   kRankApiClient = 620,          // api::Client registration state
 
   // --- cross-layer serializers (7xx) ---------------------------------

@@ -1,7 +1,7 @@
 // The broker process in a box: an engine::Cluster (by default with zero
 // local nodes — pure coordination), the BusServer exposing its message
-// bus over TCP, and the MetadataService answering membership/schema
-// RPCs through the server's extension hook.
+// bus over TCP, and the MetadataService answering membership, schema
+// and DDL RPCs through the server's extension hook.
 //
 // A multi-process Railgun deployment is one Broker process, N
 // railgun_noded worker processes (meta::WorkerNode) joining it, and M

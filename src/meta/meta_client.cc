@@ -9,8 +9,9 @@ namespace railgun::meta {
 using msg::remote::OpCode;
 
 Status MetaClient::Call(OpCode opcode, const std::string& payload,
-                        std::string* result) {
-  return bus_->CallOpcode(static_cast<uint8_t>(opcode), payload, result);
+                        std::string* result, const std::string& lane) {
+  return bus_->CallOpcode(static_cast<uint8_t>(opcode), payload, result,
+                          lane);
 }
 
 StatusOr<AnnounceResult> MetaClient::Announce(
@@ -80,6 +81,12 @@ StatusOr<std::vector<engine::StreamDef>> MetaClient::ListStreams() {
     defs.push_back(std::move(def));
   }
   return defs;
+}
+
+Status MetaClient::ExecuteDdl(const std::string& statement) {
+  std::string payload;
+  PutLengthPrefixedSlice(&payload, statement);
+  return Call(OpCode::kMetaDdl, payload, nullptr, "ddl");
 }
 
 }  // namespace railgun::meta

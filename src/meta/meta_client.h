@@ -1,11 +1,11 @@
 // Client stub for the metadata service: speaks the kMeta* opcodes of
-// the remote wire protocol over a RemoteBus's control connection to a
-// BusServer whose extension hook routes them into the broker's
-// MetadataService.
+// the remote wire protocol over a RemoteBus (the control connection,
+// or the "ddl" lane for kMetaDdl) to a BusServer whose extension hook
+// routes them into the broker's MetadataService.
 //
 // Used by worker daemons (announce/heartbeat/leave, stream sync) and by
-// remote api::Clients (foreign-schema fetch, admin listings). The stub
-// is a pure encoder/decoder: transport — lazy reconnect with capped
+// remote api::Clients (DDL, foreign-schema fetch, admin listings). The
+// stub is a pure encoder/decoder: transport — lazy reconnect with capped
 // backoff, correlation ids, Unavailable on failure — is the borrowed
 // RemoteBus's, so metadata RPCs share the connection and failure model
 // of the data path. A broker without a metadata service answers
@@ -42,9 +42,16 @@ class MetaClient {
   StatusOr<engine::StreamDef> GetStream(const std::string& name);
   StatusOr<std::vector<engine::StreamDef>> ListStreams();
 
+  // ----- DDL ----------------------------------------------------------
+  // Executes one statement in the broker's MetadataService::ExecuteDdl
+  // and returns its typed status. The server answers only once every
+  // broker-local unit applied the statement, so the RPC rides its own
+  // lane instead of the control connection carrying this bus's produces.
+  Status ExecuteDdl(const std::string& statement);
+
  private:
   Status Call(msg::remote::OpCode opcode, const std::string& payload,
-              std::string* result);
+              std::string* result, const std::string& lane = "");
 
   msg::remote::RemoteBus* bus_;
 };

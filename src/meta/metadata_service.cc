@@ -1,9 +1,7 @@
 #include "meta/metadata_service.h"
 
 #include <algorithm>
-#include <chrono>
 
-#include "api/remote_ddl.h"
 #include "common/coding.h"
 #include "msg/remote/wire.h"
 #include "query/ddl.h"
@@ -22,22 +20,6 @@ MetadataService::~MetadataService() { Stop(); }
 
 Status MetadataService::Start() {
   if (running_.exchange(true)) return Status::OK();
-  if (options_.run_ddl_service) {
-    Status s = bus_->CreateTopic(api::kDdlTopic, 1);
-    if (!s.ok() && !s.IsAlreadyExists()) {
-      running_ = false;
-      return s;
-    }
-    // The consumer group is the failover seam: a standby service
-    // joining "ddl.svc" takes over the topic when this member dies.
-    s = bus_->Subscribe(ddl_consumer_id_, "ddl.svc", {api::kDdlTopic}, "",
-                        nullptr, {});
-    if (!s.ok()) {
-      running_ = false;
-      return s;
-    }
-    ddl_thread_ = std::thread([this] { DdlLoop(); });
-  }
   // Leases are measured on the bus clock; under a simulated clock there
   // is no real time to sweep on — tests drive CheckLeases directly.
   if (clock_->IsRealTime()) {
@@ -52,11 +34,7 @@ void MetadataService::Stop() {
     MutexLock lock(&sweep_mu_);
   }
   sweep_cv_.NotifyAll();
-  // Cut a parked DDL poll short (best effort).
-  (void)bus_->WakeConsumer(ddl_consumer_id_);
-  if (ddl_thread_.joinable()) ddl_thread_.join();
   if (sweep_thread_.joinable()) sweep_thread_.join();
-  if (options_.run_ddl_service) (void)bus_->Unsubscribe(ddl_consumer_id_);
 }
 
 // ----- Membership -----------------------------------------------------
@@ -322,36 +300,6 @@ void MetadataService::AddPipelineToRegistry(query::PipelineSpec pipeline) {
   ++generation_;
 }
 
-void MetadataService::DdlLoop() {
-  std::vector<msg::Message> batch;
-  while (running_) {
-    const Status polled =
-        bus_->Poll(ddl_consumer_id_, 16, &batch, 50 * kMicrosPerMilli);
-    if (!polled.ok()) {
-      // Fenced or unreachable: back off without spinning; statements
-      // in flight simply time out on the client.
-      batch.clear();
-      MonotonicClock::Default()->SleepMicros(10 * kMicrosPerMilli);
-      continue;
-    }
-    for (const auto& message : batch) {
-      api::DdlRequest request;
-      if (!api::DecodeDdlRequest(Slice(message.payload), &request).ok()) {
-        continue;
-      }
-      api::DdlReply reply;
-      reply.request_id = request.request_id;
-      reply.result = ExecuteDdl(request.statement);
-      std::string encoded;
-      api::EncodeDdlReply(reply, &encoded);
-      // Best effort: an unreachable reply topic means the client died;
-      // it would have timed out anyway.
-      (void)bus_->Produce(request.reply_topic, request.reply_topic,
-                          std::move(encoded));
-    }
-  }
-}
-
 void MetadataService::SweepLoop() {
   const Micros period =
       std::max<Micros>(options_.lease_timeout / 4, 10 * kMicrosPerMilli);
@@ -371,68 +319,77 @@ bool MetadataService::HandleWire(uint8_t opcode, const Slice& payload,
                                  Status* status, std::string* result) {
   using msg::remote::OpCode;
   Slice in = payload;
+  // Every case parses its declared fields, then requires `in` to be
+  // fully consumed before executing anything.
+  bool parsed = true;
   switch (static_cast<OpCode>(opcode)) {
     case OpCode::kMetaAnnounce: {
       NodeAnnouncement announcement;
-      const Status parsed = DecodeNodeAnnouncement(&in, &announcement);
-      if (!parsed.ok()) {
-        *status = parsed;
-        return true;
+      if ((parsed = DecodeNodeAnnouncement(&in, &announcement).ok() &&
+                    in.empty())) {
+        auto announced = Announce(announcement);
+        *status = announced.status();
+        if (announced.ok()) {
+          PutVarsint64(result, announced.value().lease_timeout);
+          PutVarint64(result, announced.value().generation);
+        }
       }
-      auto announced = Announce(announcement);
-      *status = announced.status();
-      if (announced.ok()) {
-        PutVarsint64(result, announced.value().lease_timeout);
-        PutVarint64(result, announced.value().generation);
-      }
-      return true;
+      break;
     }
     case OpCode::kMetaHeartbeat: {
       Slice node_id;
-      if (!GetLengthPrefixedSlice(&in, &node_id)) {
-        *status = Status::Corruption("malformed heartbeat");
-        return true;
+      if ((parsed = GetLengthPrefixedSlice(&in, &node_id) && in.empty())) {
+        auto generation = Heartbeat(node_id.ToString());
+        *status = generation.status();
+        if (generation.ok()) PutVarint64(result, generation.value());
       }
-      auto generation = Heartbeat(node_id.ToString());
-      *status = generation.status();
-      if (generation.ok()) PutVarint64(result, generation.value());
-      return true;
+      break;
     }
     case OpCode::kMetaLeave: {
       Slice node_id;
-      if (!GetLengthPrefixedSlice(&in, &node_id)) {
-        *status = Status::Corruption("malformed leave");
-        return true;
+      if ((parsed = GetLengthPrefixedSlice(&in, &node_id) && in.empty())) {
+        *status = Leave(node_id.ToString());
       }
-      *status = Leave(node_id.ToString());
-      return true;
+      break;
     }
-    case OpCode::kMetaGetView: {
-      EncodeClusterView(View(), result);
-      *status = Status::OK();
-      return true;
-    }
+    case OpCode::kMetaGetView:
+      if ((parsed = in.empty())) {
+        EncodeClusterView(View(), result);
+        *status = Status::OK();
+      }
+      break;
     case OpCode::kMetaGetStream: {
       Slice name;
-      if (!GetLengthPrefixedSlice(&in, &name)) {
-        *status = Status::Corruption("malformed stream fetch");
-        return true;
+      if ((parsed = GetLengthPrefixedSlice(&in, &name) && in.empty())) {
+        auto def = GetStream(name.ToString());
+        *status = def.status();
+        if (def.ok()) engine::EncodeStreamDef(def.value(), result);
       }
-      auto def = GetStream(name.ToString());
-      *status = def.status();
-      if (def.ok()) engine::EncodeStreamDef(def.value(), result);
-      return true;
+      break;
     }
-    case OpCode::kMetaListStreams: {
-      const std::vector<engine::StreamDef> defs = ListStreamDefs();
-      PutVarint32(result, static_cast<uint32_t>(defs.size()));
-      for (const auto& def : defs) engine::EncodeStreamDef(def, result);
-      *status = Status::OK();
-      return true;
+    case OpCode::kMetaListStreams:
+      if ((parsed = in.empty())) {
+        const std::vector<engine::StreamDef> defs = ListStreamDefs();
+        PutVarint32(result, static_cast<uint32_t>(defs.size()));
+        for (const auto& def : defs) engine::EncodeStreamDef(def, result);
+        *status = Status::OK();
+      }
+      break;
+    case OpCode::kMetaDdl: {
+      Slice statement;
+      if ((parsed = GetLengthPrefixedSlice(&in, &statement) && in.empty())) {
+        *status = ExecuteDdl(statement.ToString());
+      }
+      break;
     }
     default:
       return false;
   }
+  if (!parsed) {
+    result->clear();
+    *status = Status::Corruption("malformed metadata request");
+  }
+  return true;
 }
 
 }  // namespace railgun::meta

@@ -11,13 +11,11 @@
 //     survivors;
 //   - a schema registry of wire-serializable StreamDefs, so any client
 //     or worker can fetch streams it did not declare;
-//   - DDL execution (absorbed from PR 3's api::DdlService): statements
-//     arriving on the "__railgun.ddl" topic are executed through an
-//     attached api::Client and folded into the registry. The DDL
-//     consumer runs in a consumer group, which is the failover path: a
-//     standby metadata service joining the same group would take over
-//     the topic when this one dies (leader election is the seeded next
-//     step, see ROADMAP.md).
+//   - DDL execution: statements arrive as synchronous kMetaDdl RPCs
+//     (or direct ExecuteDdl calls), run through an attached api::Client
+//     and are folded into the registry. Concurrent statements are
+//     serialized; each RPC answers once every broker-local unit has
+//     applied it.
 //
 // Wire surface: the BusServer extension hook routes the kMeta* opcodes
 // (msg/remote/wire.h) into HandleWire; meta::MetaClient is the client
@@ -49,9 +47,6 @@ struct MetadataServiceOptions {
   // are pruned — workers restart under fresh generated ids, so without
   // a bound the node map would grow forever.
   Micros dead_node_retention = 10 * kMicrosPerMinute;
-  // Consume the "__railgun.ddl" topic and execute statements. Disabled
-  // by tests that drive ExecuteDdl directly.
-  bool run_ddl_service = true;
 };
 
 class MetadataService {
@@ -120,7 +115,8 @@ class MetadataService {
 
   // ----- Wire hook ----------------------------------------------------
   // BusServer extension: true when `opcode` is a kMeta* RPC (filling
-  // *status and, on OK, *result), false to fall through.
+  // *status and, on OK, *result), false to fall through. A payload that
+  // is not exactly the opcode's declared fields answers Corruption.
   bool HandleWire(uint8_t opcode, const Slice& payload, Status* status,
                   std::string* result);
 
@@ -136,7 +132,6 @@ class MetadataService {
     bool fencing = false;
   };
 
-  void DdlLoop();
   void SweepLoop();
   // Appends newly expired nodes' unit ids to *fence and their node ids
   // to *fenced (the caller must hand both to FenceUnits). Also prunes
@@ -172,11 +167,9 @@ class MetadataService {
   std::atomic<uint64_t> ddl_executed_{0};
 
   std::atomic<bool> running_{false};
-  std::thread ddl_thread_;
   std::thread sweep_thread_;
   Mutex sweep_mu_{kRankMetaSweep};
   CondVar sweep_cv_;
-  const std::string ddl_consumer_id_ = "ddl.svc";
 };
 
 }  // namespace railgun::meta

@@ -88,8 +88,14 @@ Status RemoteBus::EnsureConnectedLocked(Conn* conn) const {
 }
 
 Status RemoteBus::CallOpcode(uint8_t opcode, const std::string& payload,
-                             std::string* result) {
-  return CallControl(static_cast<OpCode>(opcode), payload, result);
+                             std::string* result, const std::string& lane) {
+  return Call(ConnFor(lane.empty() ? "" : LaneKey(lane)),
+              static_cast<OpCode>(opcode), payload, result);
+}
+
+void RemoteBus::CloseLane(const std::string& lane) {
+  MutexLock lock(&mu_);
+  conns_.erase(LaneKey(lane));
 }
 
 Status RemoteBus::Call(const std::shared_ptr<Conn>& conn, OpCode opcode,
@@ -278,7 +284,7 @@ Status RemoteBus::Unsubscribe(const std::string& consumer_id) {
   const Status status = CallControl(OpCode::kUnsubscribe, payload, nullptr);
   MutexLock lock(&mu_);
   listeners_.erase(consumer_id);
-  conns_.erase(consumer_id);  // Drop the dedicated poll connection.
+  conns_.erase(ConsumerKey(consumer_id));  // Drop the poll connection.
   return status;
 }
 
@@ -327,7 +333,7 @@ Status RemoteBus::PollBatch(const std::string& consumer_id,
   // poll without stalling control traffic (wakes, produces, commits).
   BufferRef buffer;
   Slice in;
-  RAILGUN_RETURN_IF_ERROR(CallView(ConnFor(consumer_id),
+  RAILGUN_RETURN_IF_ERROR(CallView(ConnFor(ConsumerKey(consumer_id)),
                                    OpCode::kPollColumnar, payload, &buffer,
                                    &in));
   std::vector<TopicPartition> revoked, assigned;

@@ -3,14 +3,16 @@
 // broker in another process without touching engine/ or api/ code.
 //
 // Connection model: one control connection for administrative and
-// producer traffic, plus one lazily created connection per consumer for
-// Poll — a blocking poll parks server-side on the consumer connection
-// while WakeConsumer/Produce traffic flows on the control connection,
+// producer traffic, plus lazily created dedicated connections for every
+// call the server may hold: one per consumer for Poll, and one per named
+// lane for extension RPCs that wait server-side (DDL, subscription
+// long-polls). A parked or slow call therefore never queues the
+// WakeConsumer/Produce traffic on the control connection behind it,
 // mirroring the in-process wake-on-arrival contract. Each connection
 // carries one outstanding request at a time (correlation ids are still
 // checked defensively).
 //
-// Every new connection (control and per-consumer) opens with the
+// Every new connection (control, per-consumer and per-lane) opens with the
 // versioned kHello of wire.h. A server speaking another version answers
 // NotSupported; that connection then fails every call with that status
 // and never re-dials — there is no downgrade.
@@ -142,12 +144,16 @@ class RemoteBus : public Bus {
     return columnar_batches_.load(std::memory_order_relaxed);
   }
 
-  // Generic RPC on the control connection, for stubs speaking opcodes
-  // the bus itself does not (the metadata service's kMeta* RPCs via
-  // meta::MetaClient): same correlation, reconnect-backoff and
-  // failure model as every built-in call.
+  // Generic RPC for stubs speaking opcodes the bus itself does not (the
+  // metadata service's kMeta* via meta::MetaClient, the kSub* of
+  // api::Subscription): same correlation, reconnect-backoff and failure
+  // model as every built-in call. An empty `lane` rides the control
+  // connection; a named lane gets a connection of its own, for RPCs the
+  // server may hold. Lane names never collide with consumer ids.
   Status CallOpcode(uint8_t opcode, const std::string& payload,
-                    std::string* result);
+                    std::string* result, const std::string& lane = "");
+  // Drops a named lane's connection (the next call on it re-dials).
+  void CloseLane(const std::string& lane);
 
  private:
   struct Conn {
@@ -165,9 +171,16 @@ class RemoteBus : public Bus {
     Status rejected GUARDED_BY(mu);
   };
 
-  // Returns the connection for `key` ("" = control, else per-consumer),
-  // creating and connecting it if needed.
+  // Returns the connection for `key` ("" = control, else ConsumerKey or
+  // LaneKey), creating it if needed; the first call on it dials.
   std::shared_ptr<Conn> ConnFor(const std::string& key) const;
+  // Disjoint key spaces for per-consumer and per-lane connections.
+  static std::string ConsumerKey(const std::string& consumer_id) {
+    return "consumer:" + consumer_id;
+  }
+  static std::string LaneKey(const std::string& lane) {
+    return "lane:" + lane;
+  }
   // Dials conn->sock and exchanges the hello if disconnected, honoring
   // the backoff window.
   Status EnsureConnectedLocked(Conn* conn) const REQUIRES(conn->mu);

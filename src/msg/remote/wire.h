@@ -65,9 +65,23 @@
 //   24  kHello             varint32 kWireVersion         -
 //
 // Retired numbers (6, 7, 10) are never reused. Services co-hosted with
-// the bus answer through BusServer's extension handler: kMeta* (32-37,
-// payloads in meta/) and kSub* (40-42, payloads in ops/sub_wire.h).
-// A server without the handler answers those NotSupported.
+// the bus answer through BusServer's extension handler, under the same
+// exact-consumption rule: kMeta* (payloads in meta/) and kSub* (40-42,
+// payloads in ops/sub_wire.h). A server without the handler answers
+// those NotSupported.
+//
+//   32  kMetaAnnounce      node announcement             varsint64 lease,
+//                                                        varint64 gen
+//   33  kMetaHeartbeat     str node                      varint64 gen
+//   34  kMetaLeave         str node                      -
+//   35  kMetaGetView       (empty)                       cluster view
+//   36  kMetaGetStream     str stream                    stream def
+//   37  kMetaListStreams   (empty)                       varint32 n,
+//                                                        n x stream def
+//   38  kMetaDdl           str statement                 -
+//
+// kMetaDdl returns once every broker-local unit applied the statement,
+// so clients send it on a connection of its own (RemoteBus lanes).
 #ifndef RAILGUN_MSG_REMOTE_WIRE_H_
 #define RAILGUN_MSG_REMOTE_WIRE_H_
 
@@ -97,7 +111,7 @@ constexpr uint8_t kResponseBit = 0x80;
 // Version announced by kHello. Bump it on any change to the opcode
 // table at the top of this file; peers of different versions refuse
 // each other.
-constexpr uint32_t kWireVersion = 1;
+constexpr uint32_t kWireVersion = 2;
 
 // kProduce's partition field for "route by key" (Bus::Produce).
 constexpr int64_t kPartitionByKey = -1;
@@ -133,6 +147,7 @@ enum class OpCode : uint8_t {
   kMetaGetView = 35,
   kMetaGetStream = 36,
   kMetaListStreams = 37,
+  kMetaDdl = 38,
 
   // Live subscriptions (src/ops/subscription.h).
   kSubCreate = 40,

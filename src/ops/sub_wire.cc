@@ -22,7 +22,7 @@ void EncodeSubCreateRequest(const SubCreateRequest& req, std::string* out) {
 Status DecodeSubCreateRequest(const Slice& data, SubCreateRequest* req) {
   Slice in = data;
   Slice statement;
-  if (!GetLengthPrefixedSlice(&in, &statement)) {
+  if (!GetLengthPrefixedSlice(&in, &statement) || !in.empty()) {
     return Status::Corruption("bad subscribe request");
   }
   req->statement = statement.ToString();
@@ -52,7 +52,8 @@ Status DecodeSubFetchRequest(const Slice& data, SubFetchRequest* req) {
   Slice in = data;
   uint64_t max_wait;
   if (!GetFixed64(&in, &req->sub_id) || !GetVarint64(&in, &req->acked_seq) ||
-      !GetVarint32(&in, &req->max_records) || !GetVarint64(&in, &max_wait)) {
+      !GetVarint32(&in, &req->max_records) || !GetVarint64(&in, &max_wait) ||
+      !in.empty()) {
     return Status::Corruption("bad subscription fetch request");
   }
   req->max_wait_us = static_cast<Micros>(max_wait);
@@ -114,7 +115,7 @@ void EncodeSubCancelRequest(const SubCancelRequest& req, std::string* out) {
 
 Status DecodeSubCancelRequest(const Slice& data, SubCancelRequest* req) {
   Slice in = data;
-  if (!GetFixed64(&in, &req->sub_id)) {
+  if (!GetFixed64(&in, &req->sub_id) || !in.empty()) {
     return Status::Corruption("bad subscription cancel request");
   }
   return Status::OK();

@@ -12,6 +12,9 @@
 // subscription; when a slow subscriber lets the queue fill, the OLDEST
 // records are evicted and counted in `dropped_total` — the tail stays
 // live, lag is observable, memory is bounded.
+//
+// Request decoders require the payload to be exactly the declared
+// fields: trailing bytes are Corruption, like every bus opcode.
 #ifndef RAILGUN_OPS_SUB_WIRE_H_
 #define RAILGUN_OPS_SUB_WIRE_H_
 

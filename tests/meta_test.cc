@@ -146,7 +146,6 @@ class MembershipTest : public ::testing::Test {
 
     MetadataServiceOptions meta_options;
     meta_options.lease_timeout = kLease;
-    meta_options.run_ddl_service = false;  // Driven directly.
     meta_ = std::make_unique<MetadataService>(meta_options, cluster_.get());
     ASSERT_TRUE(meta_->Start().ok());
   }
@@ -277,7 +276,6 @@ TEST(MetadataDdlTest, ExecuteDdlPopulatesTheSchemaRegistry) {
   engine::Cluster cluster(options);
   ASSERT_TRUE(cluster.Start().ok());
   MetadataServiceOptions meta_options;
-  meta_options.run_ddl_service = false;
   MetadataService meta(meta_options, &cluster);
 
   EXPECT_TRUE(meta.GetStream("payments").status().IsNotFound());

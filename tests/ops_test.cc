@@ -528,12 +528,18 @@ TEST_F(HubTest, SlowSubscriberQueueStaysBoundedWithTypedDrops) {
   // Flood without fetching: the queue must stay at capacity and the
   // overflow must be counted, not buffered.
   for (uint64_t i = 1; i <= 40; ++i) Publish(i, "c1", 1.0 * i);
+  // Fetch returns at once while the queue is non-empty, so wait on the
+  // clock until the pump has drained the whole flood into the queue or
+  // the drop counter (records + lag is the queue depth).
   SubFetchReply reply;
-  for (int i = 0; i < 50; ++i) {
+  const Micros deadline =
+      MonotonicClock::Default()->NowMicros() + 5 * kMicrosPerSecond;
+  while (MonotonicClock::Default()->NowMicros() < deadline) {
     ASSERT_TRUE(hub.Fetch(created.value(), 0, 0, 100 * kMicrosPerMilli,
                           &reply)
                     .ok());
     if (reply.dropped_total + reply.records.size() + reply.lag >= 40) break;
+    MonotonicClock::Default()->SleepMicros(kMicrosPerMilli);
   }
   EXPECT_LE(hub.TotalQueueDepth(), 4u);
   EXPECT_GE(reply.dropped_total, 36u);

@@ -1,21 +1,21 @@
 // Tests for the remote transport: wire-protocol robustness (truncated
 // frames and flipped bits must yield Status::Corruption, unknown
-// opcodes a typed NotSupported response, every bus opcode a typed
-// status under truncation and bit flips, never a crash), the versioned
-// hello,
-// RemoteBus <-> BusServer behavior over a loopback socket
-// (produce/poll, blocking poll wake-on-arrival, rebalance callback
-// streaming), the full remote api::Client quickstart flow, and
+// opcodes a typed NotSupported response, every bus and extension
+// opcode a typed status under truncation and bit flips, never a crash),
+// the versioned hello, RemoteBus <-> BusServer behavior over a loopback
+// socket (produce/poll, blocking poll wake-on-arrival, rebalance
+// callback streaming), the full remote api::Client quickstart flow,
+// parked subscription polls that never stall submits, and
 // kill-the-server failure handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <set>
 #include <thread>
 
 #include "api/client.h"
-#include "api/remote_ddl.h"
 #include "common/clock.h"
 #include "engine/cluster.h"
 #include "meta/broker.h"
@@ -652,6 +652,36 @@ Status SendToServer(BusServer* server, OpCode opcode,
   return status;
 }
 
+// The table-driven fuzz of one opcode: the valid request succeeds,
+// every strict prefix is Corruption (every field is required), every
+// single-bit flip yields a typed status (SendToServer checks; a flip
+// may still decode to a different valid request) and trailing bytes
+// after the declared fields are Corruption.
+void FuzzOpcode(BusServer* server, OpCode opcode,
+                const std::string& payload) {
+  const int op = static_cast<int>(opcode);
+  const Status valid = SendToServer(server, opcode, payload, nullptr);
+  EXPECT_TRUE(valid.ok()) << "opcode " << op << ": " << valid.ToString();
+  for (size_t len = 0; len < payload.size(); ++len) {
+    std::string result;
+    const Status status =
+        SendToServer(server, opcode, payload.substr(0, len), &result);
+    EXPECT_TRUE(status.IsCorruption())
+        << "opcode " << op << " prefix " << len << ": " << status.ToString();
+    EXPECT_TRUE(result.empty()) << "opcode " << op << " prefix " << len;
+  }
+  for (size_t i = 0; i < payload.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = payload;
+      mutated[i] = static_cast<char>(mutated[i] ^ (1 << bit));
+      (void)SendToServer(server, opcode, mutated, nullptr);
+    }
+  }
+  EXPECT_TRUE(
+      SendToServer(server, opcode, payload + "x", nullptr).IsCorruption())
+      << "opcode " << op;
+}
+
 TEST(BusServerTest, EveryBusOpcodeSurvivesTruncationAndBitFlips) {
   const auto requests = ValidBusRequests();
   std::set<OpCode> covered;
@@ -663,32 +693,78 @@ TEST(BusServerTest, EveryBusOpcodeSurvivesTruncationAndBitFlips) {
     // topic, a killed consumer) cannot mask another's paths.
     auto bus = BusOpcodeFuzzBus();
     BusServer server(BusServerOptions{}, bus.get());
-    const int op = static_cast<int>(opcode);
-    const Status valid = SendToServer(&server, opcode, payload, nullptr);
-    EXPECT_TRUE(valid.ok()) << "opcode " << op << ": " << valid.ToString();
+    FuzzOpcode(&server, opcode, payload);
+  }
+}
 
-    // Every field is required, so every strict prefix is malformed.
-    for (size_t len = 0; len < payload.size(); ++len) {
-      std::string result;
-      const Status status =
-          SendToServer(&server, opcode, payload.substr(0, len), &result);
-      EXPECT_TRUE(status.IsCorruption())
-          << "opcode " << op << " prefix " << len << ": " << status.ToString();
-      EXPECT_TRUE(result.empty()) << "opcode " << op << " prefix " << len;
-    }
-    // A flipped bit may still decode to a different valid request;
-    // either way the answer is a typed status (SendToServer checks).
-    for (size_t i = 0; i < payload.size(); ++i) {
-      for (int bit = 0; bit < 8; ++bit) {
-        std::string mutated = payload;
-        mutated[i] = static_cast<char>(mutated[i] ^ (1 << bit));
-        (void)SendToServer(&server, opcode, mutated, nullptr);
-      }
-    }
-    // Trailing bytes after the declared fields are malformed too.
-    EXPECT_TRUE(SendToServer(&server, opcode, payload + "x", nullptr)
-                    .IsCorruption())
-        << "opcode " << op;
+// One valid request payload per extension opcode (kMeta*, kSub*),
+// against the state a fresh ExtensionFuzzBroker holds: node "n"
+// announced, stream "s" created, subscription `sub_id` open.
+std::vector<std::pair<OpCode, std::string>> ValidExtensionRequests(
+    uint64_t sub_id) {
+  std::vector<std::pair<OpCode, std::string>> requests;
+  auto add = [&requests](OpCode opcode) -> std::string* {
+    requests.emplace_back(opcode, std::string());
+    return &requests.back().second;
+  };
+  std::string* p = add(OpCode::kMetaAnnounce);
+  PutLengthPrefixedSlice(p, "fresh");
+  PutLengthPrefixedSlice(p, "host:1");
+  PutVarint32(p, 1);
+  PutLengthPrefixedSlice(p, "fresh.u0");
+  PutLengthPrefixedSlice(add(OpCode::kMetaHeartbeat), "n");
+  PutLengthPrefixedSlice(add(OpCode::kMetaLeave), "n");
+  add(OpCode::kMetaGetView);
+  PutLengthPrefixedSlice(add(OpCode::kMetaGetStream), "s");
+  add(OpCode::kMetaListStreams);
+  PutLengthPrefixedSlice(add(OpCode::kMetaDdl),
+                         "ADD METRIC SELECT count(*) FROM s GROUP BY k "
+                         "OVER sliding 1 minutes");
+  ops::EncodeSubCreateRequest({"SUBSCRIBE SELECT * FROM s"},
+                              add(OpCode::kSubCreate));
+  ops::SubFetchRequest fetch;
+  fetch.sub_id = sub_id;  // max_wait 0: flips park for at most 64 us.
+  ops::EncodeSubFetchRequest(fetch, add(OpCode::kSubFetch));
+  ops::EncodeSubCancelRequest({sub_id}, add(OpCode::kSubCancel));
+  return requests;
+}
+
+struct ExtensionFuzzBroker {
+  ExtensionFuzzBroker() {
+    meta::BrokerOptions options;
+    options.cluster.num_nodes = 1;  // Its front end creates the topics.
+    options.cluster.base_dir = "/tmp/railgun-remote-test-extension-fuzz";
+    options.cluster.bus.delivery_delay = 0;
+    broker = std::make_unique<meta::Broker>(options);
+    EXPECT_TRUE(broker->Start().ok());
+    meta::NodeAnnouncement node;
+    node.node_id = "n";
+    EXPECT_TRUE(broker->metadata()->Announce(node).ok());
+    EXPECT_TRUE(broker->metadata()
+                    ->ExecuteDdl("CREATE STREAM s (k STRING) PARTITION BY k")
+                    .ok());
+    auto created = broker->cluster()->subscription_hub()->Create(
+        "SUBSCRIBE SELECT * FROM s");
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    sub_id = created.ok() ? created.value() : 0;
+  }
+
+  std::unique_ptr<meta::Broker> broker;
+  uint64_t sub_id = 0;
+};
+
+TEST(BusServerTest, EveryExtensionOpcodeSurvivesTruncationAndBitFlips) {
+  const auto requests = ValidExtensionRequests(/*sub_id=*/0);
+  std::set<OpCode> covered;
+  for (const auto& [opcode, payload] : requests) covered.insert(opcode);
+  EXPECT_EQ(covered.size(), 10u);  // Every kMeta* and kSub* of wire.h.
+
+  for (size_t i = 0; i < requests.size(); ++i) {
+    // A fresh broker per opcode, like the bus fuzz above.
+    ExtensionFuzzBroker fuzz;
+    const auto [opcode, payload] = ValidExtensionRequests(fuzz.sub_id)[i];
+    FuzzOpcode(fuzz.broker->bus_server(), opcode, payload);
+    fuzz.broker->Stop();
   }
 }
 
@@ -1226,8 +1302,15 @@ TEST(RemoteClientTest, TracedSubmitYieldsOneParentLinkedTrace) {
                       .Set("amount", 3.0));
   ASSERT_TRUE(result.ok()) << result.status.ToString();
 
-  // The tail spans (frontend.complete, the client.submit root) record
-  // moments after the future fires; poll until the capture quiesces.
+  // Some spans record moments after the future fires: the client.submit
+  // root and frontend.complete on the client, and reply.publish on the
+  // unit, which records once its reply already reached the front end.
+  // Poll until every stage asserted below is in the capture.
+  const std::set<trace::Stage> expected = {
+      trace::Stage::kClientSubmit,    trace::Stage::kFrontendEnqueue,
+      trace::Stage::kBrokerAppend,    trace::Stage::kUnitProcess,
+      trace::Stage::kUnitWindowApply, trace::Stage::kReplyPublish,
+      trace::Stage::kFrontendComplete};
   std::vector<trace::Span> spans;
   const Micros deadline =
       MonotonicClock::Default()->NowMicros() + 5 * kMicrosPerSecond;
@@ -1237,9 +1320,8 @@ TEST(RemoteClientTest, TracedSubmitYieldsOneParentLinkedTrace) {
     spans = tracer->CollectedSpans();
     stages.clear();
     for (const auto& span : spans) stages.insert(span.stage);
-    if (stages.count(trace::Stage::kClientSubmit) > 0 &&
-        stages.count(trace::Stage::kFrontendComplete) > 0 &&
-        stages.size() >= 6) {
+    if (std::includes(stages.begin(), stages.end(), expected.begin(),
+                      expected.end())) {
       break;
     }
     MonotonicClock::Default()->SleepMicros(20 * kMicrosPerMilli);
@@ -1380,6 +1462,46 @@ TEST(RemoteClientTest, PipelineRoutesAndSubscriptionTailsEndToEnd) {
   EXPECT_TRUE(saw_dropped);
 
   EXPECT_TRUE(slow.value()->Cancel().ok());
+  client.Stop();
+  harness.Stop();
+}
+
+TEST(RemoteClientTest, ParkedSubscriptionPollNeverStallsSubmits) {
+  // A remote tail's long-poll parks server-side for up to its max_wait.
+  // A submit from the same client, issued while that poll is parked,
+  // must not queue behind it.
+  RemoteHarness harness("sub-hol");
+  ASSERT_TRUE(harness.Start().ok());
+  ClientOptions options;
+  options.remote_address = harness.address();
+  Client client(options);
+  ASSERT_TRUE(client.Start().ok());
+  ASSERT_TRUE(client.CreateStream(kPaymentsDdl).ok());
+  ASSERT_TRUE(client.Query(kCardMetric).ok());
+  ASSERT_TRUE(client
+                  .CreateStream("CREATE STREAM alerts (cardId STRING) "
+                                "PARTITION BY cardId")
+                  .ok());
+  const Row row =
+      Row().Set("cardId", "cardH").Set("merchantId", "m1").Set("amount", 1.0);
+  ASSERT_TRUE(client.SubmitSync("payments", row).ok());  // Warm the path.
+
+  auto sub = client.Subscribe("SUBSCRIBE SELECT * FROM alerts");
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+  std::thread poller([&sub] {
+    std::vector<ops::SubRecord> records;
+    EXPECT_TRUE(sub.value()->Next(&records, 2 * kMicrosPerSecond).ok());
+  });
+  MonotonicClock::Default()->SleepMicros(100 * kMicrosPerMilli);
+
+  const Micros start = MonotonicClock::Default()->NowMicros();
+  const EventResult result = client.SubmitSync("payments", row);
+  const Micros elapsed = MonotonicClock::Default()->NowMicros() - start;
+  EXPECT_TRUE(result.ok()) << result.status.ToString();
+  EXPECT_LT(elapsed, 500 * kMicrosPerMilli);
+
+  poller.join();
+  EXPECT_TRUE(sub.value()->Cancel().ok());
   client.Stop();
   harness.Stop();
 }
