@@ -207,6 +207,7 @@ Status Client::AddStream(engine::StreamDef stream) {
       return Status::AlreadyExists("stream already exists: " + stream.name);
     }
     RAILGUN_RETURN_IF_ERROR(cluster_->RegisterStream(stream));
+    schemas_.erase(stream.name);
     streams_[stream.name] = std::move(stream);
   }
   return WaitForRegistration(options_.request_timeout);
@@ -320,6 +321,7 @@ Status Client::FetchStream(const std::string& stream) {
   RAILGUN_RETURN_IF_ERROR(remote_frontend_->RegisterStream(def));
   MutexLock lock(&mu_);
   unknown_streams_.erase(stream);
+  schemas_.erase(stream);
   streams_[stream] = std::move(def);
   return Status::OK();
 }
@@ -458,17 +460,20 @@ StatusOr<reservoir::Schema> Client::GetSchema(const std::string& stream) {
 
 StatusOr<reservoir::Event> Client::BindRow(const std::string& stream_name,
                                            const Row& row) const {
-  std::vector<reservoir::SchemaField> fields;
+  std::shared_ptr<const reservoir::Schema> schema;
   {
     MutexLock lock(&mu_);
     auto it = streams_.find(stream_name);
     if (it == streams_.end()) {
       return Status::NotFound("unknown stream: " + stream_name);
     }
-    fields = it->second.fields;
+    std::shared_ptr<const reservoir::Schema>& cached = schemas_[stream_name];
+    if (cached == nullptr) {
+      cached = std::make_shared<const reservoir::Schema>(0, it->second.fields);
+    }
+    schema = cached;
   }
-  const reservoir::Schema schema(0, std::move(fields));
-  RAILGUN_ASSIGN_OR_RETURN(reservoir::Event event, row.Bind(schema));
+  RAILGUN_ASSIGN_OR_RETURN(reservoir::Event event, row.Bind(*schema));
   event.timestamp =
       row.has_timestamp() ? row.timestamp() : clock_->NowMicros();
   // Wrapping add: the counter walks a contiguous range from the

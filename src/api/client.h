@@ -253,6 +253,10 @@ class Client {
 
   mutable Mutex mu_{kRankApiClient};
   std::map<std::string, engine::StreamDef> streams_ GUARDED_BY(mu_);
+  // Schema of each streams_ entry, built on its first BindRow so rows
+  // bind through the schema's name index without rebuilding it.
+  mutable std::map<std::string, std::shared_ptr<const reservoir::Schema>>
+      schemas_ GUARDED_BY(mu_);
   // Stream name -> cache-entry expiry on clock_ (see EnsureStream).
   std::map<std::string, Micros> unknown_streams_ GUARDED_BY(mu_);
   // Auto-minted event ids count up from a random per-client base (see

@@ -10,8 +10,11 @@ namespace {
 // "<agg> over <window>...".
 bool MetricNameMatches(const std::string& name, const std::string& wanted) {
   if (name == wanted) return true;
-  const std::string prefix = wanted + " over ";
-  return name.compare(0, prefix.size(), prefix) == 0;
+  static constexpr char kOver[] = " over ";
+  constexpr size_t kOverLen = sizeof(kOver) - 1;
+  return name.size() >= wanted.size() + kOverLen &&
+         name.compare(0, wanted.size(), wanted) == 0 &&
+         name.compare(wanted.size(), kOverLen, kOver) == 0;
 }
 
 }  // namespace

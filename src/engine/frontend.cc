@@ -83,15 +83,15 @@ Status FrontEnd::RegisterStream(const StreamDef& stream) {
         bus_->CreateTopic(stream.TopicFor(p), stream.partitions_per_topic);
     if (!s.ok() && !s.IsAlreadyExists()) return s;
   }
-  Route route;
-  route.stream = stream;
-  route.schema = reservoir::Schema(0, stream.fields);
+  auto route = std::make_shared<Route>();
+  route->stream = stream;
+  route->schema = reservoir::Schema(0, stream.fields);
   for (const auto& p : stream.partitioners) {
-    const int field = route.schema.FieldIndex(p);
+    const int field = route->schema.FieldIndex(p);
     if (field < 0) {
       return Status::InvalidArgument("partitioner not in schema: " + p);
     }
-    route.targets.push_back({stream.TopicFor(p), field});
+    route->targets.push_back({stream.TopicFor(p), field});
   }
   MutexLock lock(&mu_);
   routes_[stream.name] = std::move(route);
@@ -166,7 +166,7 @@ Status FrontEnd::SubmitBatch(const std::string& stream_name,
   if (!running_) {
     return Status::Unavailable("front end is not running");
   }
-  Route route;
+  std::shared_ptr<const Route> route;
   {
     MutexLock lock(&mu_);
     auto it = routes_.find(stream_name);
@@ -198,7 +198,7 @@ Status FrontEnd::SubmitBatch(const std::string& stream_name,
     ReplyCallback callback =
         i < callbacks.size() ? std::move(callbacks[i]) : nullptr;
     const Status s = Enqueue(
-        route, events[i], std::move(callback),
+        *route, events[i], std::move(callback),
         i < traces.size() ? traces[i] : trace::TraceContext{}, &prepared);
     if (!s.ok()) {
       // Roll back this batch's already-registered pendings: the caller

@@ -181,7 +181,8 @@ class FrontEnd {
   std::atomic<bool> running_{false};
 
   mutable Mutex mu_{kRankEngineFrontEnd};
-  std::map<std::string, Route> routes_ GUARDED_BY(mu_);
+  // Shared so a submit takes the route under mu_ without copying it.
+  std::map<std::string, std::shared_ptr<const Route>> routes_ GUARDED_BY(mu_);
 
   Mutex submit_mu_{kRankEngineFrontEndSubmit};
   std::vector<Submission> submit_queue_ GUARDED_BY(submit_mu_);

@@ -24,7 +24,34 @@ TaskProcessor::TaskProcessor(const TaskProcessorOptions& options,
       dir_(std::move(dir)),
       stream_(stream),
       topic_(std::move(topic)),
-      env_(options.db.env != nullptr ? options.db.env : Env::Default()) {}
+      env_(options.db.env != nullptr ? options.db.env : Env::Default()) {
+  if (introspect::Registry* registry = options_.registry) {
+    state_hits_ = registry->counter("plan.state.hits");
+    state_misses_ = registry->counter("plan.state.misses");
+    state_sweeps_ = registry->counter("plan.state.sweeps");
+    checkpoint_dirty_keys_ =
+        registry->histogram("plan.state.checkpoint_dirty_keys");
+    state_bytes_ = registry->gauge("plan.state.bytes");
+  }
+}
+
+TaskProcessor::~TaskProcessor() {
+  // The bytes gauge sums every live task's table.
+  if (state_bytes_ != nullptr) {
+    state_bytes_->Add(-static_cast<int64_t>(published_state_.bytes));
+  }
+}
+
+void TaskProcessor::PublishStateStats() {
+  if (state_hits_ == nullptr || plan_ == nullptr) return;
+  const plan::StateTableStats& now = plan_->state_stats();
+  state_hits_->Add(now.hits - published_state_.hits);
+  state_misses_->Add(now.misses - published_state_.misses);
+  state_sweeps_->Add(now.sweeps - published_state_.sweeps);
+  state_bytes_->Add(static_cast<int64_t>(now.bytes) -
+                    static_cast<int64_t>(published_state_.bytes));
+  published_state_ = now;
+}
 
 Status TaskProcessor::Open() {
   RAILGUN_RETURN_IF_ERROR(env_->CreateDir(dir_));
@@ -152,8 +179,11 @@ Status TaskProcessor::ProcessMessage(const msg::Message& message,
       DecodeEventEnvelope(Slice(message.payload), *reservoir_->schema(),
                           &env, &rest));
   env.event.offset = message.offset;
-  return ApplyEvent(env.event, env.request_id, Slice(env.reply_topic),
-                    trace::ParseTraceTrailer(rest), reply);
+  const Status s = ApplyEvent(env.event, env.request_id,
+                              Slice(env.reply_topic),
+                              trace::ParseTraceTrailer(rest), reply);
+  PublishStateStats();
+  return s;
 }
 
 Status TaskProcessor::ApplyEvent(const reservoir::Event& event,
@@ -255,6 +285,7 @@ Status TaskProcessor::ProcessBatch(
       ++*failed;
     }
   }
+  PublishStateStats();
   if (batch_start != 0) {
     tracer->Record(trace::Stage::kUnitProcess, batch_ctx, batch_start,
                    tracer->NowMicros());
@@ -271,6 +302,7 @@ Status TaskProcessor::SyncQueries(const StreamDef& updated) {
     RAILGUN_RETURN_IF_ERROR(plan_->AddQueryBackfilled(q));
     installed_queries_.insert(q.raw);
   }
+  PublishStateStats();  // Backfill replays load and sweep states.
   RAILGUN_RETURN_IF_ERROR(InstallPipelines(updated));
   stream_ = updated;
   return Status::OK();
@@ -281,16 +313,20 @@ Status TaskProcessor::Checkpoint() {
   //    (open-chunk events stay bus-replayable).
   RAILGUN_RETURN_IF_ERROR(reservoir_->Sync());
 
-  // 2. Stamp the state store with the consistent replay point + window
-  //    iterator positions, then snapshot it.
+  // 2. Write the plan's dirty aggregation states together with the
+  //    consistent replay point + window iterator positions, as one
+  //    batch, then snapshot the state store.
   std::string offset_value;
   PutVarsint64(&offset_value, last_processed_offset_);
-  RAILGUN_RETURN_IF_ERROR(db_->Put(storage::kDefaultColumnFamily,
-                                   kCkptOffsetKey, offset_value));
   std::string winpos;
   plan_->SaveWindowPositions(&winpos);
-  RAILGUN_RETURN_IF_ERROR(
-      db_->Put(storage::kDefaultColumnFamily, kCkptWindowsKey, winpos));
+  storage::WriteBatch batch;
+  batch.Put(storage::kDefaultColumnFamily, kCkptOffsetKey, offset_value);
+  batch.Put(storage::kDefaultColumnFamily, kCkptWindowsKey, winpos);
+  RAILGUN_ASSIGN_OR_RETURN(const size_t dirty_keys, plan_->WriteBack(&batch));
+  if (checkpoint_dirty_keys_ != nullptr) {
+    checkpoint_dirty_keys_->Record(static_cast<int64_t>(dirty_keys));
+  }
 
   RAILGUN_RETURN_IF_ERROR(env_->RemoveDirRecursive(CkptTmpDir(dir_)));
   RAILGUN_RETURN_IF_ERROR(db_->Checkpoint(CkptTmpDir(dir_)));

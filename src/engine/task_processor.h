@@ -30,7 +30,8 @@ struct TaskProcessorOptions {
   storage::DBOptions db;
   // Take a synchronized checkpoint every this many processed messages.
   uint64_t checkpoint_interval_events = 50000;
-  // Operator-pipeline counters register here when set (may be null).
+  // Operator-pipeline and state-table counters register here when set
+  // (may be null).
   introspect::Registry* registry = nullptr;
 };
 
@@ -40,6 +41,8 @@ class TaskProcessor {
   // schema; only queries routed to this task's topic are planned.
   TaskProcessor(const TaskProcessorOptions& options, std::string dir,
                 const StreamDef& stream, std::string topic);
+
+  ~TaskProcessor();
 
   TaskProcessor(const TaskProcessor&) = delete;
   TaskProcessor& operator=(const TaskProcessor&) = delete;
@@ -66,6 +69,8 @@ class TaskProcessor {
                       std::vector<ReplyEnvelope>* replies, size_t* failed);
 
   // Synchronized checkpoint of reservoir + state store (paper §4.1.3).
+  // The plan's dirty aggregation states go into the same state-store
+  // write as the checkpoint stamp.
   Status Checkpoint();
 
   // Installs any queries from the updated stream definition that are
@@ -113,6 +118,9 @@ class TaskProcessor {
                     const Slice& reply_topic,
                     const trace::TraceContext& trace_ctx,
                     ReplyEnvelope* reply);
+  // Adds the plan's state-table activity since the last call to the
+  // registry series.
+  void PublishStateStats();
 
   TaskProcessorOptions options_;
   std::string dir_;
@@ -136,6 +144,15 @@ class TaskProcessor {
   int64_t last_processed_offset_ = -1;
   uint64_t processed_count_ = 0;
   uint64_t events_since_checkpoint_ = 0;
+
+  // State-table series (null without a registry) and the plan stats
+  // already added to them.
+  introspect::Counter* state_hits_ = nullptr;
+  introspect::Counter* state_misses_ = nullptr;
+  introspect::Counter* state_sweeps_ = nullptr;
+  introspect::Histogram* checkpoint_dirty_keys_ = nullptr;
+  introspect::Gauge* state_bytes_ = nullptr;
+  plan::StateTableStats published_state_;
 
   // Batch scratch, reused across ProcessBatch calls.
   ColumnBatch column_batch_;

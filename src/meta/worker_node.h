@@ -108,13 +108,15 @@ class WorkerNode {
   std::string address_;
   std::string dir_;
 
+  // Every layer below holds handles into the registry (task processors
+  // release theirs on destruction), so it is declared first.
+  introspect::Registry registry_;
   // meta_ borrows bus_: keep the bus declared first so the stub never
   // outlives its transport.
   std::unique_ptr<msg::remote::RemoteBus> bus_;
   std::unique_ptr<MetaClient> meta_;
   std::unique_ptr<engine::Coordinator> coordinator_;
   std::unique_ptr<engine::RailgunNode> node_;
-  introspect::Registry registry_;
   std::unique_ptr<introspect::Publisher> publisher_;
 
   // Atomic: rewritten by the heartbeat thread on a lease-expiry rejoin

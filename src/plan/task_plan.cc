@@ -11,8 +11,25 @@ using reservoir::FieldValue;
 using window::WindowDelta;
 using window::WindowKind;
 
+namespace {
+
+// The state table may hold this many write buffers' worth of states
+// before a sweep writes it back and clears it: enough for a working set
+// of tens of thousands of entities per task to stay resident.
+constexpr uint64_t kStateBudgetWriteBuffers = 4;
+
+// Approximate table footprint of one entry (hash node, slot and vector
+// headers) and of one leaf state's string header, for the budget.
+constexpr uint64_t kEntryOverheadBytes = 96;
+constexpr uint64_t kStateOverheadBytes = sizeof(std::string);
+
+}  // namespace
+
 TaskPlan::TaskPlan(reservoir::Reservoir* reservoir, storage::DB* db)
-    : reservoir_(reservoir), db_(db) {}
+    : reservoir_(reservoir),
+      db_(db),
+      state_budget_bytes_(kStateBudgetWriteBuffers *
+                          db->options().write_buffer_size) {}
 
 Status TaskPlan::Init() {
   auto cf_or = db_->FindColumnFamily("agg_aux");
@@ -119,18 +136,37 @@ Status TaskPlan::AddQueryToIsland(const query::QueryDef& query,
 Status TaskPlan::AddQueryBackfilled(const query::QueryDef& query) {
   auto island = std::make_unique<Island>(reservoir_);
   RAILGUN_RETURN_IF_ERROR(AddQueryToIsland(query, island.get()));
+  // Installed before the replay so budget sweeps cover its states.
+  islands_.push_back(std::move(island));
+  Island* replaying = islands_.back().get();
 
   // Replay history through the new island only. The island's iterators
   // start at the oldest event, so the window mechanics replay exactly.
+  Status s;
   auto replay_iter = reservoir_->NewIterator();
-  while (!replay_iter->AtEnd()) {
+  while (s.ok() && !replay_iter->AtEnd()) {
     const Event event = replay_iter->event();  // Copy: we advance below.
-    RAILGUN_RETURN_IF_ERROR(
-        ProcessEventInIsland(event, island.get(), /*results=*/nullptr));
+    s = ProcessEventInIsland(event, replaying, /*results=*/nullptr);
+    if (s.ok()) s = MaybeSweep();
     replay_iter->Advance();
   }
-  islands_.push_back(std::move(island));
-  return Status::OK();
+  if (!s.ok()) {
+    // The query stays uninstalled: drop the island and its table share.
+    for (auto& wnode : replaying->windows) {
+      for (auto& fnode : wnode.filters) {
+        for (auto& gnode : fnode.groups) {
+          for (const auto& [slot, entry] : gnode.states) {
+            stats_.bytes -= kEntryOverheadBytes + slot.group_key.size();
+            for (const auto& state : entry.states) {
+              stats_.bytes -= kStateOverheadBytes + state.size();
+            }
+          }
+        }
+      }
+    }
+    islands_.pop_back();
+  }
+  return s;
 }
 
 Status TaskPlan::ProcessEvent(const Event& event,
@@ -139,7 +175,7 @@ Status TaskPlan::ProcessEvent(const Event& event,
     RAILGUN_RETURN_IF_ERROR(
         ProcessEventInIsland(event, island.get(), results));
   }
-  return Status::OK();
+  return MaybeSweep();
 }
 
 Status TaskPlan::ProcessEventInIsland(const Event& event, Island* island,
@@ -156,20 +192,19 @@ Status TaskPlan::ProcessEventInIsland(const Event& event, Island* island,
     if (results == nullptr) continue;
     const Micros epoch =
         wnode.spec.kind == WindowKind::kTumbling ? delta.epoch : 0;
+    scratch_slot_.epoch = epoch;
     for (auto& fnode : wnode.filters) {
       if (fnode.expr != nullptr && !fnode.expr->EvalBool(event)) continue;
       for (auto& gnode : fnode.groups) {
-        const std::string group_key = GroupKeyOf(event, gnode);
-        for (auto& leaf : gnode.metrics) {
-          const std::string key =
-              StateKey(leaf.metric_id, epoch, group_key);
-          std::string state;
-          Status s = db_->Get(storage::kDefaultColumnFamily, key, &state);
-          if (!s.ok() && !s.IsNotFound()) return s;
+        GroupKeyOf(event, gnode, &scratch_slot_.group_key);
+        RAILGUN_ASSIGN_OR_RETURN(StateEntry * entry,
+                                 FindStates(scratch_slot_, &gnode));
+        for (size_t k = 0; k < gnode.metrics.size(); ++k) {
+          const MetricLeaf& leaf = gnode.metrics[k];
           RAILGUN_ASSIGN_OR_RETURN(FieldValue value,
-                                   leaf.aggregator->Result(state));
-          results->push_back(
-              MetricResult{leaf.metric_id, leaf.name, group_key, value});
+                                   leaf.aggregator->Result(entry->states[k]));
+          results->push_back(MetricResult{leaf.metric_id, leaf.name,
+                                          scratch_slot_.group_key, value});
         }
       }
     }
@@ -211,20 +246,26 @@ Status TaskPlan::ApplyDelta(const WindowDelta& delta, WindowNode* node) {
 Status TaskPlan::ApplyEventRun(const std::vector<const Event*>& events,
                                bool entering, Micros epoch,
                                GroupNode* gnode) {
+  scratch_slot_.epoch = epoch;
   size_t i = 0;
   while (i < events.size()) {
-    const std::string group_key = GroupKeyOf(*events[i], *gnode);
+    GroupKeyOf(*events[i], *gnode, &scratch_slot_.group_key);
     size_t j = i + 1;
-    while (j < events.size() && GroupKeyOf(*events[j], *gnode) == group_key) {
+    while (j < events.size()) {
+      GroupKeyOf(*events[j], *gnode, &scratch_key_);
+      if (scratch_key_ != scratch_slot_.group_key) break;
       ++j;
     }
+    RAILGUN_ASSIGN_OR_RETURN(StateEntry * entry,
+                             FindStates(scratch_slot_, gnode));
     const size_t n = j - i;
     if (n == 1) {
       // Single-event runs take the scalar path; the columnar machinery
-      // only pays off when a state round-trip is amortized over >1 event.
-      for (auto& leaf : gnode->metrics) {
-        RAILGUN_RETURN_IF_ERROR(
-            ApplyEventToLeaf(*events[i], entering, epoch, *gnode, &leaf));
+      // only pays off when a state update is amortized over >1 event.
+      for (size_t k = 0; k < gnode->metrics.size(); ++k) {
+        RAILGUN_RETURN_IF_ERROR(ApplyEventToLeaf(*events[i], entering,
+                                                 scratch_slot_, k, gnode,
+                                                 entry));
       }
       i = j;
       continue;
@@ -233,13 +274,15 @@ Status TaskPlan::ApplyEventRun(const std::vector<const Event*>& events,
     for (size_t r = i; r < j; ++r) {
       scratch_offsets_.push_back(events[r]->offset);
     }
-    for (auto& leaf : gnode->metrics) {
+    for (size_t k = 0; k < gnode->metrics.size(); ++k) {
+      const MetricLeaf& leaf = gnode->metrics[k];
       // countDistinct aggregates value *identity* (string keys in the
       // aux column family), which the double column cannot carry.
       if (leaf.kind == agg::AggKind::kCountDistinct) {
         for (size_t r = i; r < j; ++r) {
-          RAILGUN_RETURN_IF_ERROR(
-              ApplyEventToLeaf(*events[r], entering, epoch, *gnode, &leaf));
+          RAILGUN_RETURN_IF_ERROR(ApplyEventToLeaf(*events[r], entering,
+                                                   scratch_slot_, k, gnode,
+                                                   entry));
         }
         continue;
       }
@@ -250,25 +293,16 @@ Status TaskPlan::ApplyEventRun(const std::vector<const Event*>& events,
                 ? events[r]->values[leaf.field_index].ToNumber()
                 : 1.0);
       }
-      const std::string key = StateKey(leaf.metric_id, epoch, group_key);
-      std::string state;
-      Status s = db_->Get(storage::kDefaultColumnFamily, key, &state);
-      if (!s.ok() && !s.IsNotFound()) return s;
-      agg::AggContext ctx;
-      ctx.db = db_;
-      ctx.aux_cf = aux_cf_;
-      ctx.aux_key_prefix = key + "|";
-      if (entering) {
-        RAILGUN_RETURN_IF_ERROR(leaf.aggregator->EnterColumn(
-            scratch_values_.data(), scratch_offsets_.data(), n, &state,
-            &ctx));
-      } else {
-        RAILGUN_RETURN_IF_ERROR(leaf.aggregator->ExpireColumn(
-            scratch_values_.data(), scratch_offsets_.data(), n, &state,
-            &ctx));
-      }
-      RAILGUN_RETURN_IF_ERROR(
-          db_->Put(storage::kDefaultColumnFamily, key, state));
+      // Only countDistinct reads the aggregation context.
+      scratch_state_ = entry->states[k];
+      const Status update =
+          entering ? leaf.aggregator->EnterColumn(scratch_values_.data(),
+                                                  scratch_offsets_.data(), n,
+                                                  &scratch_state_, nullptr)
+                   : leaf.aggregator->ExpireColumn(scratch_values_.data(),
+                                                   scratch_offsets_.data(), n,
+                                                   &scratch_state_, nullptr);
+      RAILGUN_RETURN_IF_ERROR(CommitState(update, k, entry));
     }
     i = j;
   }
@@ -276,32 +310,107 @@ Status TaskPlan::ApplyEventRun(const std::vector<const Event*>& events,
 }
 
 Status TaskPlan::ApplyEventToLeaf(const Event& event, bool entering,
-                                  Micros epoch, const GroupNode& group,
-                                  MetricLeaf* leaf) {
-  const std::string group_key = GroupKeyOf(event, group);
-  const std::string key = StateKey(leaf->metric_id, epoch, group_key);
-
-  std::string state;
-  Status s = db_->Get(storage::kDefaultColumnFamily, key, &state);
-  if (!s.ok() && !s.IsNotFound()) return s;
-
-  const FieldValue value =
-      leaf->field_index >= 0 ? event.values[leaf->field_index]
-                             : FieldValue(int64_t{1});
+                                  const StateSlot& slot, size_t leaf_index,
+                                  GroupNode* gnode, StateEntry* entry) {
+  static const FieldValue kOne(int64_t{1});
+  const MetricLeaf& leaf = gnode->metrics[leaf_index];
+  const FieldValue& value =
+      leaf.field_index >= 0 ? event.values[leaf.field_index] : kOne;
 
   agg::AggContext ctx;
-  ctx.db = db_;
-  ctx.aux_cf = aux_cf_;
-  ctx.aux_key_prefix = key + "|";
-
-  if (entering) {
-    RAILGUN_RETURN_IF_ERROR(
-        leaf->aggregator->Enter(value, event, &state, &ctx));
-  } else {
-    RAILGUN_RETURN_IF_ERROR(
-        leaf->aggregator->Expire(value, event, &state, &ctx));
+  if (leaf.kind == agg::AggKind::kCountDistinct) {
+    ctx.db = db_;
+    ctx.aux_cf = aux_cf_;
+    ctx.aux_key_prefix =
+        StateKey(leaf.metric_id, slot.epoch, slot.group_key) + "|";
   }
-  return db_->Put(storage::kDefaultColumnFamily, key, state);
+  scratch_state_ = entry->states[leaf_index];
+  const Status update =
+      entering ? leaf.aggregator->Enter(value, event, &scratch_state_, &ctx)
+               : leaf.aggregator->Expire(value, event, &scratch_state_, &ctx);
+  return CommitState(update, leaf_index, entry);
+}
+
+StatusOr<TaskPlan::StateEntry*> TaskPlan::FindStates(const StateSlot& slot,
+                                                     GroupNode* gnode) {
+  auto it = gnode->states.find(slot);
+  if (it != gnode->states.end() &&
+      it->second.states.size() == gnode->metrics.size()) {
+    ++stats_.hits;
+    return &it->second;
+  }
+  ++stats_.misses;
+  if (it == gnode->states.end()) {
+    it = gnode->states.emplace(slot, StateEntry()).first;
+    stats_.bytes += kEntryOverheadBytes + slot.group_key.size();
+  }
+  // Leaves added to the group after the entry was loaded load here too.
+  std::vector<std::string>& states = it->second.states;
+  while (states.size() < gnode->metrics.size()) {
+    const uint64_t metric_id = gnode->metrics[states.size()].metric_id;
+    std::string state;
+    const Status s =
+        db_->Get(storage::kDefaultColumnFamily,
+                 StateKey(metric_id, slot.epoch, slot.group_key), &state);
+    if (!s.ok() && !s.IsNotFound()) return s;
+    stats_.bytes += kStateOverheadBytes + state.size();
+    states.push_back(std::move(state));
+  }
+  return &it->second;
+}
+
+Status TaskPlan::CommitState(const Status& update, size_t leaf_index,
+                             StateEntry* entry) {
+  RAILGUN_RETURN_IF_ERROR(update);
+  std::string& state = entry->states[leaf_index];
+  stats_.bytes += scratch_state_.size();
+  stats_.bytes -= state.size();
+  state.swap(scratch_state_);
+  entry->dirty = true;
+  return Status::OK();
+}
+
+template <typename Fn>
+void TaskPlan::ForEachGroup(Fn&& fn) {
+  for (auto& island : islands_) {
+    for (auto& wnode : island->windows) {
+      for (auto& fnode : wnode.filters) {
+        for (auto& gnode : fnode.groups) fn(gnode);
+      }
+    }
+  }
+}
+
+StatusOr<size_t> TaskPlan::WriteBack(storage::WriteBatch* batch) {
+  std::vector<StateEntry*> written;
+  size_t keys = 0;
+  ForEachGroup([&](GroupNode& gnode) {
+    for (auto& [slot, entry] : gnode.states) {
+      if (!entry.dirty) continue;
+      for (size_t k = 0; k < entry.states.size(); ++k) {
+        if (entry.states[k].empty()) continue;
+        batch->Put(storage::kDefaultColumnFamily,
+                   StateKey(gnode.metrics[k].metric_id, slot.epoch,
+                            slot.group_key),
+                   entry.states[k]);
+        ++keys;
+      }
+      written.push_back(&entry);
+    }
+  });
+  if (batch->Count() > 0) RAILGUN_RETURN_IF_ERROR(db_->Write(batch));
+  for (StateEntry* entry : written) entry->dirty = false;
+  return keys;
+}
+
+Status TaskPlan::MaybeSweep() {
+  if (stats_.bytes <= state_budget_bytes_) return Status::OK();
+  storage::WriteBatch batch;
+  RAILGUN_RETURN_IF_ERROR(WriteBack(&batch).status());
+  ForEachGroup([](GroupNode& gnode) { gnode.states.clear(); });
+  stats_.bytes = 0;
+  ++stats_.sweeps;
+  return Status::OK();
 }
 
 std::string TaskPlan::StateKey(uint64_t metric_id, Micros epoch,
@@ -317,13 +426,13 @@ std::string TaskPlan::StateKey(uint64_t metric_id, Micros epoch,
   return key;
 }
 
-std::string TaskPlan::GroupKeyOf(const Event& event, const GroupNode& group) {
-  std::string key;
+void TaskPlan::GroupKeyOf(const Event& event, const GroupNode& group,
+                          std::string* key) {
+  key->clear();
   for (size_t i = 0; i < group.field_indices.size(); ++i) {
-    if (i > 0) key.push_back('\x1f');
-    key += event.values[group.field_indices[i]].ToString();
+    if (i > 0) key->push_back('\x1f');
+    key->append(event.values[group.field_indices[i]].ToString());
   }
-  return key;
 }
 
 void TaskPlan::SaveWindowPositions(std::string* blob) const {

@@ -3,12 +3,19 @@
 // prefixes. Metrics that share a window, filter and group-by reuse the
 // same DAG path, so each arriving event advances each distinct window
 // once and touches exactly one state-store key per DAG leaf (§4.1.3).
+//
+// Aggregation states live in a write-back table in front of the state
+// store (DESIGN.md "State store path"): a miss loads a group entity's
+// leaf states from the DB once, updates stay in memory, and dirty
+// states go back to the DB in one WriteBatch at each checkpoint
+// (WriteBack) or when the table outgrows its budget (a sweep).
 #ifndef RAILGUN_PLAN_TASK_PLAN_H_
 #define RAILGUN_PLAN_TASK_PLAN_H_
 
-#include <map>
+#include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "agg/aggregator.h"
@@ -16,6 +23,7 @@
 #include "query/query.h"
 #include "reservoir/reservoir.h"
 #include "storage/db.h"
+#include "storage/write_batch.h"
 #include "window/window_operator.h"
 
 namespace railgun::plan {
@@ -26,6 +34,15 @@ struct MetricResult {
   std::string metric_name;
   std::string group_key;
   reservoir::FieldValue value;
+};
+
+// Write-back state table counters; tables are per task and live on the
+// task's thread, so these are plain integers.
+struct StateTableStats {
+  uint64_t hits = 0;    // Lookups served from the table.
+  uint64_t misses = 0;  // Lookups that loaded states from the DB.
+  uint64_t sweeps = 0;  // Budget write-backs that cleared the table.
+  uint64_t bytes = 0;   // Approximate table footprint.
 };
 
 class TaskPlan {
@@ -56,6 +73,14 @@ class TaskPlan {
   Status ProcessEvent(const reservoir::Event& event,
                       std::vector<MetricResult>* results);
 
+  // Adds every dirty aggregation state to *batch, commits the batch to
+  // the DB and marks the states clean. Callers put their own records
+  // (the checkpoint stamp) in the same batch so they land atomically.
+  // Returns the number of state keys written.
+  StatusOr<size_t> WriteBack(storage::WriteBatch* batch);
+
+  const StateTableStats& state_stats() const { return stats_; }
+
   // Serializes / restores every window-edge iterator position across the
   // plan (checkpoint support). Restore must be called after the same
   // queries were re-added in the same order.
@@ -78,11 +103,36 @@ class TaskPlan {
     std::unique_ptr<agg::Aggregator> aggregator;
   };
 
+  // Table key within one group node: a tumbling epoch (0 otherwise)
+  // and the entity's group key.
+  struct StateSlot {
+    Micros epoch = 0;
+    std::string group_key;
+    bool operator==(const StateSlot& other) const {
+      return epoch == other.epoch && group_key == other.group_key;
+    }
+  };
+  struct StateSlotHash {
+    size_t operator()(const StateSlot& slot) const {
+      return std::hash<std::string>()(slot.group_key) ^
+             std::hash<int64_t>()(slot.epoch) * 0x9e3779b97f4a7c15ULL;
+    }
+  };
+  // Every leaf's state for one (epoch, entity), in GroupNode::metrics
+  // order. An empty state is one the DB does not hold; aggregators never
+  // store an empty state, so write-back skips them.
+  struct StateEntry {
+    std::vector<std::string> states;
+    bool dirty = false;
+  };
+
   struct GroupNode {
     std::vector<std::string> fields;
     std::vector<int> field_indices;
     std::string key;  // Canonical field list.
     std::vector<MetricLeaf> metrics;
+    // This group's share of the write-back table.
+    std::unordered_map<StateSlot, StateEntry, StateSlotHash> states;
   };
 
   struct FilterNode {
@@ -115,14 +165,26 @@ class TaskPlan {
   Status ApplyEventRun(const std::vector<const reservoir::Event*>& events,
                        bool entering, Micros epoch, GroupNode* gnode);
   Status ApplyEventToLeaf(const reservoir::Event& event, bool entering,
-                          Micros epoch, const GroupNode& group,
-                          MetricLeaf* leaf);
+                          const StateSlot& slot, size_t leaf_index,
+                          GroupNode* gnode, StateEntry* entry);
+
+  // Returns gnode's table entry for `slot`, loading every leaf's state
+  // from the DB on a miss.
+  StatusOr<StateEntry*> FindStates(const StateSlot& slot, GroupNode* gnode);
+  // Swaps scratch_state_ into entry->states[leaf_index] and marks the
+  // entry dirty if `update` succeeded; otherwise leaves the entry as is.
+  Status CommitState(const Status& update, size_t leaf_index,
+                     StateEntry* entry);
+  // Writes back and clears the table once it outgrows its budget.
+  Status MaybeSweep();
 
   // State-store key for a (metric, epoch, entity).
   static std::string StateKey(uint64_t metric_id, Micros epoch,
                               const std::string& group_key);
-  static std::string GroupKeyOf(const reservoir::Event& event,
-                                const GroupNode& group);
+  static void GroupKeyOf(const reservoir::Event& event,
+                         const GroupNode& group, std::string* key);
+  template <typename Fn>
+  void ForEachGroup(Fn&& fn);
 
   reservoir::Reservoir* reservoir_;
   storage::DB* db_;
@@ -131,10 +193,17 @@ class TaskPlan {
   uint64_t next_metric_id_ = 1;
   size_t num_metrics_ = 0;
 
+  // The table is swept once its footprint passes this many bytes.
+  uint64_t state_budget_bytes_;
+  StateTableStats stats_;
+
   // Delta-application scratch, reused across events/batches.
   std::vector<const reservoir::Event*> scratch_filtered_;
   std::vector<double> scratch_values_;
   std::vector<uint64_t> scratch_offsets_;
+  StateSlot scratch_slot_;
+  std::string scratch_key_;
+  std::string scratch_state_;
 };
 
 }  // namespace railgun::plan

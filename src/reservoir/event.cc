@@ -18,13 +18,16 @@ std::string FieldValue::ToString() const {
 }
 
 Schema::Schema(uint32_t id, std::vector<SchemaField> fields)
-    : id_(id), fields_(std::move(fields)) {}
+    : id_(id), fields_(std::move(fields)) {
+  index_.reserve(fields_.size());
+  for (size_t i = 0; i < fields_.size(); ++i) {
+    index_.emplace(fields_[i].name, static_cast<int>(i));
+  }
+}
 
 int Schema::FieldIndex(const std::string& name) const {
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    if (fields_[i].name == name) return static_cast<int>(i);
-  }
-  return -1;
+  const auto it = index_.find(name);
+  return it == index_.end() ? -1 : it->second;
 }
 
 void Schema::EncodeTo(std::string* dst) const {

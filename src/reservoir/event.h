@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -72,7 +73,8 @@ class Schema {
   const std::vector<SchemaField>& fields() const { return fields_; }
   size_t num_fields() const { return fields_.size(); }
 
-  // Returns the field index, or -1.
+  // Returns the field index, or -1. A duplicated name resolves to its
+  // first field.
   int FieldIndex(const std::string& name) const;
 
   void EncodeTo(std::string* dst) const;
@@ -81,6 +83,7 @@ class Schema {
  private:
   uint32_t id_ = 0;
   std::vector<SchemaField> fields_;
+  std::unordered_map<std::string, int> index_;  // Name -> first index.
 };
 
 // One stream event. `offset` is the position in the source message log

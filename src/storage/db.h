@@ -100,6 +100,7 @@ class DB {
   uint64_t TotalSstBytes();
 
   const std::string& path() const { return dbname_; }
+  const DBOptions& options() const { return options_; }
 
  private:
   DB(const DBOptions& options, std::string dbname);

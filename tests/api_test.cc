@@ -391,5 +391,44 @@ TEST(RowTest, BindsBySchemaOrderWithCoercion) {
                    .ok());
 }
 
+TEST(RowTest, BindErrorsNameTheField) {
+  const reservoir::Schema schema(0, {{"a", FieldType::kInt64},
+                                     {"b", FieldType::kDouble}});
+  auto unknown = Row().Set("a", int64_t{1}).Set("zz", 1.0).Bind(schema);
+  EXPECT_EQ(unknown.status().ToString(),
+            "InvalidArgument: unknown field: zz");
+  auto twice =
+      Row().Set("a", int64_t{1}).Set("a", int64_t{2}).Bind(schema);
+  EXPECT_EQ(twice.status().ToString(),
+            "InvalidArgument: field set twice: a");
+  auto missing = Row().Set("a", int64_t{1}).Bind(schema);
+  EXPECT_EQ(missing.status().ToString(), "InvalidArgument: missing field: b");
+
+  // A duplicated schema name resolves to its first field.
+  const reservoir::Schema dup(0, {{"x", FieldType::kInt64},
+                                  {"y", FieldType::kInt64},
+                                  {"x", FieldType::kDouble}});
+  EXPECT_EQ(dup.FieldIndex("x"), 0);
+  EXPECT_EQ(dup.FieldIndex("y"), 1);
+  EXPECT_EQ(dup.FieldIndex("nope"), -1);
+}
+
+TEST(EventResultTest, FindMatchesExactOrWindowDecoratedNames) {
+  EventResult result;
+  result.metrics = {
+      {"sum(amount) over sliding 5m by cardId", "c1", FieldValue(1.0)},
+      {"count(*)", "c1", FieldValue(int64_t{2})},
+      {"sum(amount)x over sliding 5m", "c2", FieldValue(3.0)},
+  };
+  ASSERT_NE(result.Find("sum(amount)"), nullptr);
+  EXPECT_EQ(result.Find("sum(amount)")->group, "c1");
+  EXPECT_EQ(result.Find("count(*)")->group, "c1");
+  EXPECT_EQ(result.Find("sum(amount)", "c2"), nullptr);
+  EXPECT_EQ(result.Find("sum(amount)x", "c2")->group, "c2");
+  EXPECT_EQ(result.Find("sum"), nullptr);
+  EXPECT_EQ(result.Find("sum(amount) over"), nullptr);
+  EXPECT_NE(result.Find("sum(amount) over sliding 5m by cardId"), nullptr);
+}
+
 }  // namespace
 }  // namespace railgun::api

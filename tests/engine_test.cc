@@ -6,6 +6,7 @@
 #include "engine/coordinator.h"
 #include "engine/stream_def.h"
 #include "engine/task_processor.h"
+#include "introspect/registry.h"
 #include "msg/broker.h"
 
 namespace railgun::engine {
@@ -267,6 +268,42 @@ TEST_F(TaskProcessorTest, CheckpointAndRecoveryReplayIsExactlyOnce) {
   ASSERT_EQ(reply.results.size(), 2u);
   EXPECT_DOUBLE_EQ(reply.results[1].value.ToNumber(), 120);
   EXPECT_DOUBLE_EQ(reply.results[0].value.ToNumber(), 120.0);
+}
+
+TEST_F(TaskProcessorTest, StateTableCountersReachTheRegistry) {
+  introspect::Registry registry;
+  options_.registry = &registry;
+  auto value = [&](const std::string& name) {
+    for (const auto& sample : registry.Snapshot()) {
+      if (sample.name == name) return sample.value;
+    }
+    return -1.0;
+  };
+  {
+    TaskProcessor proc(options_, dir_, stream_, "payments.cardId");
+    ASSERT_TRUE(proc.Open().ok());
+    ReplyEnvelope reply;
+    // Two cards: each card's first event misses (loads its states);
+    // every other lookup, entering or reporting, hits.
+    for (uint64_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(proc.ProcessMessage(
+                          MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
+                                      i + 1, i % 2 == 0 ? "cardA" : "cardB",
+                                      1.0),
+                          &reply)
+                      .ok());
+    }
+    ASSERT_TRUE(proc.Checkpoint().ok());
+    EXPECT_EQ(value("plan.state.misses"), 2);
+    EXPECT_EQ(value("plan.state.hits"), 18);
+    EXPECT_EQ(value("plan.state.sweeps"), 0);
+    EXPECT_GT(value("plan.state.bytes"), 0);
+    // One checkpoint wrote sum and count for both cards.
+    EXPECT_EQ(value("plan.state.checkpoint_dirty_keys.count"), 1);
+    EXPECT_EQ(value("plan.state.checkpoint_dirty_keys.max"), 4);
+  }
+  // A destroyed task's table leaves the bytes gauge.
+  EXPECT_EQ(value("plan.state.bytes"), 0);
 }
 
 TEST_F(TaskProcessorTest, CloneDataBootstrapsAnotherProcessor) {

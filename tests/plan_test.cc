@@ -1,9 +1,10 @@
 // Tests for the task plan DAG: prefix sharing, metric correctness across
-// window kinds, filters, multiple group-bys, backfill, and window
-// position checkpoint/restore.
+// window kinds, filters, multiple group-bys, backfill, window position
+// checkpoint/restore, and the write-back state table.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
 
 #include "common/env.h"
 #include "plan/task_plan.h"
@@ -200,6 +201,10 @@ TEST_F(TaskPlanTest, WindowPositionsSurviveSaveRestore) {
   std::string blob;
   plan_->SaveWindowPositions(&blob);
   EXPECT_FALSE(blob.empty());
+  // States live in the plan's write-back table until a checkpoint write
+  // puts them in the DB that plan2 shares.
+  storage::WriteBatch batch;
+  ASSERT_TRUE(plan_->WriteBack(&batch).ok());
 
   // A new plan over the same reservoir/db, restored, continues with
   // identical results.
@@ -229,6 +234,133 @@ TEST_F(TaskPlanTest, WindowPositionsSurviveSaveRestore) {
   ASSERT_EQ(r1.size(), 1u);
   ASSERT_EQ(r2.size(), 1u);
   EXPECT_NEAR(r2[0].value.ToNumber(), r1[0].value.ToNumber(), 1e-9);
+}
+
+TEST_F(TaskPlanTest, CorruptStoredStateFailsWithoutDirtyingTheTable) {
+  AddQuery("SELECT sum(amount) FROM p GROUP BY cardId "
+           "OVER sliding 5 minutes");
+  // The first metric's state key for entity "c" (TaskPlan::StateKey).
+  ASSERT_TRUE(db_->Put(storage::kDefaultColumnFamily, "m1|c", "bad").ok());
+
+  Event e;
+  e.timestamp = kMicrosPerMinute;
+  e.id = e.offset = 1;
+  e.values = {FieldValue("c"), FieldValue("m"), FieldValue(5.0)};
+  bool accepted;
+  ASSERT_TRUE(reservoir_->Append(e, &accepted).ok());
+  std::vector<MetricResult> results;
+  const Status s = plan_->ProcessEvent(e, &results);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  storage::WriteBatch batch;
+  auto written = plan_->WriteBack(&batch);
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(written.value(), 0u);
+  std::string stored;
+  ASSERT_TRUE(db_->Get(storage::kDefaultColumnFamily, "m1|c", &stored).ok());
+  EXPECT_EQ(stored, "bad");
+}
+
+// One plan over its own reservoir and state store.
+struct PlanHarness {
+  PlanHarness(const std::string& dir, size_t write_buffer_size) {
+    EXPECT_TRUE(Env::Default()->RemoveDirRecursive(dir).ok());
+    reservoir::ReservoirOptions ropts;
+    ropts.chunk_target_bytes = 2048;
+    ropts.async_io = false;
+    ropts.schema_fields = {{"cardId", FieldType::kString},
+                           {"merchantId", FieldType::kString},
+                           {"amount", FieldType::kDouble}};
+    reservoir = std::make_unique<reservoir::Reservoir>(ropts, dir + "/res");
+    EXPECT_TRUE(reservoir->Open().ok());
+    storage::DBOptions dopts;
+    dopts.write_buffer_size = write_buffer_size;
+    EXPECT_TRUE(storage::DB::Open(dopts, dir + "/db", &db).ok());
+    plan = std::make_unique<TaskPlan>(reservoir.get(), db.get());
+    EXPECT_TRUE(plan->Init().ok());
+  }
+
+  void Add(const std::string& sql, bool backfill) {
+    auto q = query::ParseQuery(sql);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    ASSERT_TRUE((backfill ? plan->AddQueryBackfilled(q.value())
+                          : plan->AddQuery(q.value()))
+                    .ok());
+  }
+
+  std::vector<MetricResult> Process(const Event& e) {
+    bool accepted;
+    EXPECT_TRUE(reservoir->Append(e, &accepted).ok());
+    std::vector<MetricResult> results;
+    const Status s = plan->ProcessEvent(e, &results);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return results;
+  }
+
+  std::unique_ptr<reservoir::Reservoir> reservoir;
+  std::unique_ptr<storage::DB> db;
+  std::unique_ptr<TaskPlan> plan;
+};
+
+TEST(TaskPlanStateTableTest, FrequentSweepsMatchANeverSweepingPlan) {
+  // A 16 KiB write buffer gives the table a 64 KiB budget, far below the
+  // working set, so the swept plan writes back and reloads its states
+  // about every hundred events; the default budget never sweeps here.
+  PlanHarness swept("/tmp/railgun_plan_test_swept", 16 << 10);
+  PlanHarness resident("/tmp/railgun_plan_test_resident",
+                       storage::DBOptions().write_buffer_size);
+  const std::vector<std::string> queries = {
+      "SELECT sum(amount), count(*), max(amount) FROM p GROUP BY cardId "
+      "OVER sliding 5 minutes",
+      "SELECT avg(amount), stdDev(amount) FROM p GROUP BY merchantId "
+      "OVER sliding 10 minutes",
+      "SELECT sum(amount) FROM p WHERE amount > 50 GROUP BY cardId "
+      "OVER sliding 3 minutes",
+      "SELECT count(*), sum(amount) FROM p GROUP BY cardId "
+      "OVER tumbling 2 minutes",
+      "SELECT countDistinct(merchantId) FROM p GROUP BY cardId "
+      "OVER sliding 4 minutes",
+  };
+  for (const auto& q : queries) {
+    swept.Add(q, /*backfill=*/false);
+    resident.Add(q, /*backfill=*/false);
+  }
+
+  std::mt19937_64 rng(20211014);
+  Micros ts = 0;
+  const int kEvents = 1500;
+  for (int i = 1; i <= kEvents; ++i) {
+    if (i == kEvents / 2) {
+      // A backfilled island replays history under the same budget.
+      const std::string late =
+          "SELECT min(amount), count(*) FROM p GROUP BY merchantId "
+          "OVER sliding 6 minutes";
+      swept.Add(late, /*backfill=*/true);
+      resident.Add(late, /*backfill=*/true);
+    }
+    // Bursts of equal timestamps make multi-event enter/expire runs.
+    if (rng() % 3 != 0) {
+      ts += static_cast<Micros>(rng() % 20) * kMicrosPerSecond;
+    }
+    Event e;
+    e.timestamp = ts;
+    e.id = e.offset = static_cast<uint64_t>(i);
+    e.values = {FieldValue("card" + std::to_string(rng() % 300)),
+                FieldValue("m" + std::to_string(rng() % 15)),
+                FieldValue(static_cast<double>(rng() % 10000) / 100.0)};
+    const std::vector<MetricResult> got = swept.Process(e);
+    const std::vector<MetricResult> want = resident.Process(e);
+    ASSERT_EQ(got.size(), want.size()) << "event " << i;
+    for (size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].metric_name, want[k].metric_name);
+      EXPECT_EQ(got[k].group_key, want[k].group_key);
+      EXPECT_EQ(got[k].value.ToNumber(), want[k].value.ToNumber())
+          << "event " << i << " " << got[k].metric_name;
+    }
+  }
+  EXPECT_GE(swept.plan->state_stats().sweeps, 10u);
+  EXPECT_EQ(resident.plan->state_stats().sweeps, 0u);
+  EXPECT_GT(resident.plan->state_stats().hits, 0u);
 }
 
 TEST_F(TaskPlanTest, UnknownFieldsRejected) {

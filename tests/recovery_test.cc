@@ -246,5 +246,95 @@ TEST_F(TaskProcessorRecoveryTest, DonorCloneOfRunningStateIsUsable) {
   EXPECT_EQ(count, 250);
 }
 
+TEST_F(TaskProcessorRecoveryTest,
+       CrashDropsDirtyStateAndReplayMatchesCleanRun) {
+  // Forty cards and a one-minute window over one-second events: states
+  // expire continuously and the table holds many dirty entries at the
+  // crash. The plan writes states back only at checkpoints and budget
+  // sweeps, so everything after offset 150 dies with the processor
+  // (or, after a sweep, in the live DB the rollback discards).
+  stream_.queries = {
+      query::ParseQuery("SELECT count(*), sum(amount), max(amount) FROM "
+                        "payments GROUP BY cardId OVER sliding 1 minute")
+          .value()};
+  const reservoir::Schema schema(0, stream_.fields);
+  auto message = [&](uint64_t offset) {
+    EventEnvelope env;
+    env.request_id = offset + 1;
+    env.reply_topic = "replies.r";
+    env.event = SimpleEvent(static_cast<Micros>(offset) * kMicrosPerSecond,
+                            offset + 1);
+    env.event.values = {FieldValue("card" + std::to_string(offset * 7 % 40)),
+                        FieldValue(static_cast<double>(offset % 13))};
+    msg::Message m;
+    m.topic = "payments.cardId";
+    m.offset = offset;
+    EncodeEventEnvelope(env, schema, &m.payload);
+    return m;
+  };
+  auto render = [](const ReplyEnvelope& reply) {
+    std::string out;
+    for (const auto& r : reply.results) {
+      out += r.metric_name + "[" + r.group_key + "]=" + r.value.ToString() +
+             ";";
+    }
+    return out;
+  };
+  constexpr uint64_t kEvents = 400;
+  constexpr uint64_t kCheckpointAt = 150;
+  constexpr uint64_t kCrashAt = 300;
+
+  std::vector<std::string> clean;
+  {
+    const std::string clean_dir = dir_ + "_clean";
+    ASSERT_TRUE(Env::Default()->RemoveDirRecursive(clean_dir).ok());
+    TaskProcessor proc(options_, clean_dir, stream_, "payments.cardId");
+    ASSERT_TRUE(proc.Open().ok());
+    ReplyEnvelope reply;
+    for (uint64_t i = 0; i < kEvents; ++i) {
+      ASSERT_TRUE(proc.ProcessMessage(message(i), &reply).ok());
+      clean.push_back(render(reply));
+    }
+  }
+
+  // The default budget keeps every state resident; a 1 KiB write buffer
+  // (4 KiB budget) sweeps post-checkpoint states into the live DB.
+  for (const size_t write_buffer : {options_.db.write_buffer_size,
+                                    size_t{1024}}) {
+    SCOPED_TRACE("write_buffer_size " + std::to_string(write_buffer));
+    ASSERT_TRUE(Env::Default()->RemoveDirRecursive(dir_).ok());
+    TaskProcessorOptions options = options_;
+    options.db.write_buffer_size = write_buffer;
+    {
+      TaskProcessor proc(options, dir_, stream_, "payments.cardId");
+      ASSERT_TRUE(proc.Open().ok());
+      ReplyEnvelope reply;
+      for (uint64_t i = 0; i < kCrashAt; ++i) {
+        ASSERT_TRUE(proc.ProcessMessage(message(i), &reply).ok());
+        ASSERT_EQ(render(reply), clean[i]) << "offset " << i;
+        if (i == kCheckpointAt) {
+          ASSERT_TRUE(proc.Checkpoint().ok());
+        }
+      }
+      if (write_buffer == 1024) {
+        EXPECT_GT(proc.task_plan()->state_stats().sweeps, 0u);
+      }
+    }  // Crash: no checkpoint after offset 150.
+
+    TaskProcessor proc(options, dir_, stream_, "payments.cardId");
+    ASSERT_TRUE(proc.Open().ok());
+    ASSERT_LE(proc.replay_offset(), kCheckpointAt + 1);
+    ReplyEnvelope reply;
+    for (uint64_t i = proc.replay_offset(); i < kEvents; ++i) {
+      ASSERT_TRUE(proc.ProcessMessage(message(i), &reply).ok());
+      // Offsets up to the checkpoint are replayed into the reservoir
+      // only; everything after it must reproduce the clean run.
+      if (i > kCheckpointAt) {
+        ASSERT_EQ(render(reply), clean[i]) << "offset " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace railgun
