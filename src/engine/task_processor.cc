@@ -70,17 +70,16 @@ Status TaskProcessor::Open() {
 
   plan_.reset(new plan::TaskPlan(reservoir_.get(), db_.get()));
   RAILGUN_RETURN_IF_ERROR(plan_->Init());
+  std::vector<query::QueryDef> routed;
   for (const auto& q : stream_.queries) {
     RAILGUN_ASSIGN_OR_RETURN(std::string partitioner,
                              stream_.PartitionerForQuery(q));
-    if (stream_.TopicFor(partitioner) == topic_) {
-      RAILGUN_RETURN_IF_ERROR(plan_->AddQuery(q));
-      installed_queries_.insert(q.raw);
-    }
+    if (stream_.TopicFor(partitioner) == topic_) routed.push_back(q);
   }
   RAILGUN_RETURN_IF_ERROR(InstallPipelines(stream_));
 
   // Restore checkpointed positions, if any.
+  bool restored_layout = false;
   std::string value;
   Status s = db_->Get(storage::kDefaultColumnFamily, kCkptOffsetKey, &value);
   if (s.ok()) {
@@ -103,10 +102,13 @@ Status TaskProcessor::Open() {
     replay_offset_ = std::min(static_cast<uint64_t>(ckpt_offset + 1),
                               persisted_plus_one);
 
+    // The checkpoint records the plan's island layout: rebuild it, so
+    // every island's iterators resume where that island's stood.
     std::string winpos;
     s = db_->Get(storage::kDefaultColumnFamily, kCkptWindowsKey, &winpos);
     if (s.ok()) {
-      RAILGUN_RETURN_IF_ERROR(plan_->RestoreWindowPositions(winpos));
+      RAILGUN_RETURN_IF_ERROR(plan_->RestoreWindowPositions(winpos, routed));
+      restored_layout = true;
     } else if (!s.IsNotFound()) {
       return s;
     }
@@ -114,6 +116,21 @@ Status TaskProcessor::Open() {
     return s;
   } else {
     replay_offset_ = 0;
+  }
+
+  // Queries the checkpoint does not cover: all of them without one
+  // (the replay from offset 0 rebuilds their state), or ones added after
+  // it, which backfill from the reservoir up to the checkpoint offset,
+  // because the replay skips the plan up to there.
+  for (const auto& q : routed) {
+    if (!plan_->HasQuery(q.raw)) {
+      RAILGUN_RETURN_IF_ERROR(
+          restored_layout && plan_skip_threshold_ >= 0
+              ? plan_->AddQueryBackfilled(
+                    q, static_cast<uint64_t>(plan_skip_threshold_))
+              : plan_->AddQuery(q));
+    }
+    installed_queries_.insert(q.raw);
   }
 
   // Events already persisted in the reservoir must not be re-appended.

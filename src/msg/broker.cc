@@ -20,13 +20,58 @@ std::shared_ptr<InProcessBus::Topic> InProcessBus::FindTopic(
   return it == topics_.end() ? nullptr : it->second;
 }
 
-void InProcessBus::NotifyArrival() {
-  {
-    MutexLock lock(&wake_mu_);
-    ++wake_epoch_;
+void InProcessBus::SignalLocked(WakeSlot* slot) {
+  ++slot->epoch;
+  if (slot->parked) {
+    // Signalled once per park: later signals before it runs only bump
+    // the epoch.
+    slot->parked = false;
+    poll_wakes_.fetch_add(1, std::memory_order_relaxed);
+    ++slot->stats.wakes;
+    slot->cv.NotifyAll();
   }
-  poll_wakes_.fetch_add(1, std::memory_order_relaxed);
-  wake_cv_.NotifyAll();
+}
+
+void InProcessBus::WatchLocked(WakeSlot* slot,
+                               std::vector<TopicPartition> assignment,
+                               uint64_t version) {
+  for (const auto& tp : slot->watching) {
+    auto topic = watchers_.find(tp.topic);
+    auto partition = topic->second.find(tp.partition);
+    std::vector<WakeSlot*>& slots = partition->second;
+    slots.erase(std::find(slots.begin(), slots.end(), slot));
+    if (slots.empty()) topic->second.erase(partition);
+    if (topic->second.empty()) watchers_.erase(topic);
+  }
+  slot->watching = std::move(assignment);
+  slot->watched_version = version;
+  for (const auto& tp : slot->watching) {
+    watchers_[tp.topic][tp.partition].push_back(slot);
+  }
+}
+
+void InProcessBus::WakeWatchers(const std::string& topic,
+                                const int* partitions, size_t n) {
+  MutexLock lock(&wake_mu_);
+  auto watched = watchers_.find(topic);
+  if (watched == watchers_.end()) return;
+  for (size_t i = 0; i < n; ++i) {
+    auto it = watched->second.find(partitions[i]);
+    if (it == watched->second.end()) continue;
+    for (WakeSlot* slot : it->second) SignalLocked(slot);
+  }
+}
+
+void InProcessBus::WakeAll() {
+  MutexLock lock(&wake_mu_);
+  for (auto& [id, slot] : wake_slots_) SignalLocked(slot.get());
+}
+
+InProcessBus::ParkStats InProcessBus::PollParkStatsOf(
+    const std::string& consumer_id) {
+  MutexLock lock(&wake_mu_);
+  auto it = wake_slots_.find(consumer_id);
+  return it == wake_slots_.end() ? ParkStats() : it->second->stats;
 }
 
 Status InProcessBus::SetTopicRetention(const std::string& topic,
@@ -82,7 +127,9 @@ Status InProcessBus::WakeConsumer(const std::string& consumer_id) {
     if (it == consumers_.end()) return Status::NotFound("no consumer");
     it->second.interrupted = true;
   }
-  NotifyArrival();
+  MutexLock lock(&wake_mu_);
+  auto slot = wake_slots_.find(consumer_id);
+  if (slot != wake_slots_.end()) SignalLocked(slot->second.get());
   return Status::OK();
 }
 
@@ -91,7 +138,7 @@ void InProcessBus::Wake() {
     MutexLock lock(&group_mu_);
     for (auto& [id, consumer] : consumers_) consumer.interrupted = true;
   }
-  NotifyArrival();
+  WakeAll();
 }
 
 Status InProcessBus::CreateTopic(const std::string& topic, int partitions) {
@@ -124,7 +171,7 @@ Status InProcessBus::CreateTopic(const std::string& topic, int partitions) {
       }
     }
   }
-  NotifyArrival();
+  WakeAll();
   return Status::OK();
 }
 
@@ -202,7 +249,7 @@ StatusOr<uint64_t> InProcessBus::Produce(const std::string& topic,
                  clock_->NowMicros());
     offset = log->end_offset.load(std::memory_order_relaxed) - 1;
   }
-  NotifyArrival();
+  WakeWatchers(topic, &partition, 1);
   return offset;
 }
 
@@ -224,7 +271,7 @@ StatusOr<uint64_t> InProcessBus::ProduceToPartition(const std::string& topic,
                  clock_->NowMicros());
     offset = log->end_offset.load(std::memory_order_relaxed) - 1;
   }
-  NotifyArrival();
+  WakeWatchers(topic, &partition, 1);
   return offset;
 }
 
@@ -261,7 +308,11 @@ Status InProcessBus::ProduceBatch(const std::string& topic,
                    trace::CurrentTraceContext(), append_start,
                    tracer->NowMicros());
   }
-  NotifyArrival();
+  std::vector<int> touched;
+  for (size_t p = 0; p < buckets.size(); ++p) {
+    if (!buckets[p].empty()) touched.push_back(static_cast<int>(p));
+  }
+  WakeWatchers(topic, touched.data(), touched.size());
   return Status::OK();
 }
 
@@ -285,10 +336,11 @@ Status InProcessBus::Subscribe(const std::string& consumer_id,
     if (g.strategy == nullptr) {
       g.strategy = strategy != nullptr ? strategy : &default_strategy_;
     }
+    consumer.assignment_version = ++last_assignment_version_;
     g.members.insert(consumer_id);
     RebalanceGroupLocked(group);
   }
-  NotifyArrival();
+  WakeAll();
   return Status::OK();
 }
 
@@ -327,7 +379,17 @@ Status InProcessBus::Unsubscribe(const std::string& consumer_id) {
       }
     }
   }
-  NotifyArrival();
+  {
+    // A poll still parked on the slot re-registers on a fresh one.
+    MutexLock lock(&wake_mu_);
+    auto slot = wake_slots_.find(consumer_id);
+    if (slot != wake_slots_.end()) {
+      WatchLocked(slot->second.get(), {}, 0);
+      SignalLocked(slot->second.get());
+      wake_slots_.erase(slot);
+    }
+  }
+  WakeAll();
   return Status::OK();
 }
 
@@ -420,6 +482,13 @@ void InProcessBus::RecomputeCommittedFloorLocked(const TopicPartition& tp) {
       floor, std::memory_order_release);
 }
 
+std::shared_ptr<InProcessBus::WakeSlot> InProcessBus::SlotLocked(
+    const std::string& consumer_id) {
+  std::shared_ptr<WakeSlot>& slot = wake_slots_[consumer_id];
+  if (slot == nullptr) slot = std::make_shared<WakeSlot>();
+  return slot;
+}
+
 Status InProcessBus::Poll(const std::string& consumer_id, size_t max_messages,
                           std::vector<Message>* out, Micros max_wait) {
   // The park deadline lives entirely in the bus clock's domain, the same
@@ -431,20 +500,33 @@ Status InProcessBus::Poll(const std::string& consumer_id, size_t max_messages,
   trace::Tracer* tracer = trace::Tracer::Global();
   const Micros trace_poll_start =
       tracer->enabled() ? tracer->NowMicros() : 0;
-  for (;;) {
-    uint64_t epoch;
-    {
-      MutexLock lock(&wake_mu_);
-      epoch = wake_epoch_;
+  // A blocking poll parks on the consumer's wake slot. `epoch` is read
+  // before each scan; `assignment` is the consumer's assignment as of
+  // the last scan, stamped `version`.
+  const bool blocking = max_wait > 0;
+  std::shared_ptr<WakeSlot> slot;
+  uint64_t epoch = 0;
+  uint64_t version = 0;
+  std::vector<TopicPartition> assignment;
+  if (blocking) {
+    MutexLock lock(&wake_mu_);
+    auto it = wake_slots_.find(consumer_id);
+    if (it != wake_slots_.end()) {
+      slot = it->second;
+      epoch = slot->epoch;
+      version = slot->watched_version;
+      assignment = slot->watching;
     }
+  }
+  for (;;) {
     bool delivered_callbacks = false;
     bool interrupted = false;
     Micros earliest_visible = 0;
-    RAILGUN_RETURN_IF_ERROR(PollOnce(consumer_id, max_messages, out,
-                                     &delivered_callbacks,
-                                     &earliest_visible, &interrupted));
-    if (!out->empty() || delivered_callbacks || interrupted ||
-        max_wait <= 0) {
+    RAILGUN_RETURN_IF_ERROR(PollOnce(
+        consumer_id, max_messages, out, &delivered_callbacks,
+        &earliest_visible, &interrupted, blocking ? &version : nullptr,
+        &assignment));
+    if (!out->empty() || delivered_callbacks || interrupted || !blocking) {
       if (trace_poll_start != 0 && !out->empty()) {
         // Park-to-delivery latency; no context travels into a park, so
         // this hop is histogram-only.
@@ -471,17 +553,31 @@ Status InProcessBus::Poll(const std::string& consumer_id, size_t max_messages,
     // variable wait bounds; a simulated clock re-checks each slice.
     if (clock_->IsRealTime() && delta < slice) slice = delta;
     MutexLock lock(&wake_mu_);
-    if (wake_epoch_ == epoch) {
+    std::shared_ptr<WakeSlot> current = SlotLocked(consumer_id);
+    if (current != slot || current->watched_version != version) {
+      // The slot does not watch the assignment just scanned (it
+      // changed, or Unsubscribe replaced the slot): register it, then
+      // re-scan before parking, so an append that landed after the scan
+      // but before the registration is not missed.
+      slot = std::move(current);
+      WatchLocked(slot.get(), assignment, version);
+    } else if (slot->epoch == epoch) {
       poll_parks_.fetch_add(1, std::memory_order_relaxed);
-      wake_cv_.WaitFor(&wake_mu_, slice);
+      ++slot->stats.parks;
+      slot->parked = true;
+      slot->cv.WaitFor(&wake_mu_, slice);
+      slot->parked = false;
     }
+    epoch = slot->epoch;
   }
 }
 
 Status InProcessBus::PollOnce(const std::string& consumer_id,
                               size_t max_messages, std::vector<Message>* out,
                               bool* delivered_callbacks,
-                              Micros* earliest_visible, bool* interrupted) {
+                              Micros* earliest_visible, bool* interrupted,
+                              uint64_t* version,
+                              std::vector<TopicPartition>* assignment) {
   out->clear();
   *delivered_callbacks = false;
   *earliest_visible = 0;
@@ -526,9 +622,15 @@ Status InProcessBus::PollOnce(const std::string& consumer_id,
         }
       }
       consumer.assignment = new_assignment;
+      consumer.assignment_version = ++last_assignment_version_;
       consumer.seen_generation = group.generation;
       listener = consumer.listener;
       *delivered_callbacks = true;
+    }
+
+    if (version != nullptr && *version != consumer.assignment_version) {
+      *version = consumer.assignment_version;
+      *assignment = consumer.assignment;
     }
 
     // A poll that observed a rebalance delivers only the callbacks: the
@@ -662,7 +764,7 @@ Status InProcessBus::KillConsumer(const std::string& consumer_id) {
       RebalanceGroupLocked(git->first);
     }
   }
-  NotifyArrival();
+  WakeAll();
   return Status::OK();
 }
 

@@ -11,11 +11,13 @@
 // Concurrency model: broker state is sharded. Each partition log has a
 // private mutex, so producers to different partitions never contend;
 // group coordination (membership, assignments, positions, heartbeats)
-// lives behind a separate lock. Consumers may park inside Poll on a
-// condition variable; every produce, rebalance and Wake() call notifies
-// parked consumers, so the engine's hot loops block on arrival instead
-// of sleep-polling. Lock order: group_mu_ -> topics_mu_ -> PartitionLog
-// mutexes (innermost); never the reverse.
+// lives behind a separate lock. Consumers may park inside Poll, each on
+// its own slot: an append wakes only the consumers assigned the
+// partition it landed in, WakeConsumer only its target, and membership
+// or topic changes and Wake() wake everyone — so the engine's hot loops
+// block on arrival instead of sleep-polling, without waking consumers
+// the arrival is not for. Lock order: group_mu_ -> topics_mu_ ->
+// PartitionLog mutexes -> wake_mu_ (innermost); never the reverse.
 #ifndef RAILGUN_MSG_BROKER_H_
 #define RAILGUN_MSG_BROKER_H_
 
@@ -76,7 +78,7 @@ class InProcessBus : public Bus {
                                         int partition, std::string key,
                                         std::string payload) override;
   // Publishes a whole batch with one partition-lock acquisition per
-  // touched partition and one consumer wake-up.
+  // touched partition and one wake-up of each consumer assigned one.
   Status ProduceBatch(const std::string& topic,
                       std::vector<ProduceRecord> records) override;
 
@@ -102,9 +104,10 @@ class InProcessBus : public Bus {
   // Delivers rebalance callbacks (revoke/assign) synchronously before
   // returning when the group generation advanced.
   //
-  // With max_wait > 0 an empty poll parks on the bus's condition
-  // variable (wake-on-arrival) until a message becomes visible, a
-  // rebalance is delivered, Wake() is called, or max_wait elapses.
+  // With max_wait > 0 an empty poll parks on the consumer's wake slot
+  // (wake-on-arrival) until a message lands in one of its assigned
+  // partitions, a rebalance is delivered, it is woken, or max_wait
+  // elapses.
   // max_wait, like every other duration here, is interpreted in the
   // bus clock's domain: virtual time under a simulated clock, real time
   // under the monotonic clock. The consumer keeps heartbeating and
@@ -145,10 +148,10 @@ class InProcessBus : public Bus {
   // returns (possibly empty) instead of waiting out max_wait. The
   // interrupt is level-triggered — a wake issued while the consumer is
   // between polls is consumed by its next Poll, never lost. Arrival
-  // notifications from producers are internal — a parked consumer
-  // re-scans and re-parks if the message was not for it — whereas this
-  // is the engine's lever for loops that multiplex bus polling with
-  // local work (e.g. a front end with queued submissions to fan out).
+  // notifications from producers are internal and reach only the
+  // partition's assignees, whereas this is the engine's lever for loops
+  // that multiplex bus polling with local work (e.g. a front end with
+  // queued submissions to fan out). Wakes only the target.
   Status WakeConsumer(const std::string& consumer_id) override;
   // Interrupts every consumer (shutdown sweep).
   void Wake() override;
@@ -170,14 +173,22 @@ class InProcessBus : public Bus {
   // positions, not the committed floors — floors only move on Commit
   // and would overstate backlog for consumers that batch commits.
   uint64_t BacklogHint() const override;
-  // Blocking-poll park/wake-up counts (wake-on-arrival health: parks
-  // without wakes means idle, wakes without parks means busy-spinning).
+  // Blocking-poll park/wake-up counts: parks are condition-variable
+  // waits, wakes are notifications that reached a parked consumer
+  // (wake-on-arrival health: far more parks than deliveries means
+  // consumers are woken for messages that are not theirs).
   uint64_t poll_park_count() const {
     return poll_parks_.load(std::memory_order_relaxed);
   }
   uint64_t poll_wake_count() const {
     return poll_wakes_.load(std::memory_order_relaxed);
   }
+  // The same two counts for one consumer (zero if it never parked).
+  struct ParkStats {
+    uint64_t parks = 0;
+    uint64_t wakes = 0;
+  };
+  ParkStats PollParkStatsOf(const std::string& consumer_id);
   // The consumer's tracked position for a partition (its committed
   // floor contribution). NotFound when the consumer does not track it.
   StatusOr<uint64_t> PositionOf(const std::string& consumer_id,
@@ -211,6 +222,9 @@ class InProcessBus : public Bus {
     std::map<TopicPartition, uint64_t> positions;
     Micros last_heartbeat = 0;
     uint64_t seen_generation = 0;
+    // Bus-unique stamp of `assignment`, renewed whenever it changes, so
+    // a wake slot can tell whether it still watches the right partitions.
+    uint64_t assignment_version = 0;
     // Level-triggered WakeConsumer flag; consumed by the next Poll.
     bool interrupted = false;
     bool alive = true;
@@ -238,14 +252,42 @@ class InProcessBus : public Bus {
       REQUIRES(group_mu_);
   std::vector<TopicPartition> GroupPartitionsLocked(const Group& group) const
       REQUIRES(group_mu_);
+  // A consumer's park slot for blocking Poll. Every wake aimed at the
+  // consumer bumps `epoch` and, if it is parked, signals `cv`. Guarded
+  // by wake_mu_.
+  struct WakeSlot {
+    CondVar cv;
+    uint64_t epoch = 0;
+    bool parked = false;  // Parked and not yet signalled.
+    ParkStats stats;
+    // The assignment the consumer last polled (ConsumerState's
+    // assignment_version; 0 = none): appends to these partitions wake it.
+    uint64_t watched_version = 0;
+    std::vector<TopicPartition> watching;
+  };
+
   // One non-blocking poll attempt. On an empty result, *earliest_visible
   // is the soonest visible_time among the consumer's pending messages
   // (or 0 when it has none buffered). Consumes a pending WakeConsumer
-  // interrupt into *interrupted.
+  // interrupt into *interrupted. When `assignment` is set and the
+  // consumer's assignment_version differs from *version, copies the
+  // assignment it polled into *assignment and its version into *version.
   Status PollOnce(const std::string& consumer_id, size_t max_messages,
                   std::vector<Message>* out, bool* delivered_callbacks,
-                  Micros* earliest_visible, bool* interrupted);
-  void NotifyArrival();
+                  Micros* earliest_visible, bool* interrupted,
+                  uint64_t* version, std::vector<TopicPartition>* assignment);
+  // Finds or creates the consumer's wake slot.
+  std::shared_ptr<WakeSlot> SlotLocked(const std::string& consumer_id)
+      REQUIRES(wake_mu_);
+  // Points the slot's watch registrations at `assignment`.
+  void WatchLocked(WakeSlot* slot, std::vector<TopicPartition> assignment,
+                   uint64_t version) REQUIRES(wake_mu_);
+  void SignalLocked(WakeSlot* slot) REQUIRES(wake_mu_);
+  // Wakes the consumers watching the listed partitions of `topic`.
+  void WakeWatchers(const std::string& topic, const int* partitions,
+                    size_t n);
+  // Wakes every consumer (membership, topic and shutdown changes).
+  void WakeAll();
 
   BusOptions options_;
   Clock* clock_;
@@ -262,12 +304,16 @@ class InProcessBus : public Bus {
   std::map<std::string, ConsumerState> consumers_ GUARDED_BY(group_mu_);
   std::map<std::string, Group> groups_ GUARDED_BY(group_mu_);
 
-  // Wake-on-arrival channel for blocking Poll: parked consumers re-scan
-  // whenever the epoch advances (new message, rebalance, or a
-  // WakeConsumer interrupt flagged in their ConsumerState).
+  // Wake-on-arrival channel for blocking Poll: one slot per consumer
+  // that ever parked (shared_ptr: a poll keeps its slot while parked),
+  // and per topic and partition the slots watching it.
   Mutex wake_mu_{kRankMsgWake};
-  CondVar wake_cv_;
-  uint64_t wake_epoch_ GUARDED_BY(wake_mu_) = 0;
+  std::map<std::string, std::shared_ptr<WakeSlot>> wake_slots_
+      GUARDED_BY(wake_mu_);
+  std::map<std::string, std::map<int, std::vector<WakeSlot*>>> watchers_
+      GUARDED_BY(wake_mu_);
+  // Source of ConsumerState::assignment_version stamps.
+  uint64_t last_assignment_version_ GUARDED_BY(group_mu_) = 0;
 
   std::atomic<uint64_t> rebalance_count_{0};
   std::atomic<uint64_t> poll_parks_{0};

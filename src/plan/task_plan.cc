@@ -110,6 +110,7 @@ Status TaskPlan::AddQueryToIsland(const query::QueryDef& query,
   }
 
   // Aggregator leaves.
+  const uint64_t first_metric_id = next_metric_id_;
   for (const auto& agg_spec : query.aggs) {
     MetricLeaf leaf;
     leaf.metric_id = next_metric_id_++;
@@ -130,10 +131,12 @@ Status TaskPlan::AddQueryToIsland(const query::QueryDef& query,
     gnode->metrics.push_back(std::move(leaf));
     ++num_metrics_;
   }
+  island->queries.push_back({query.raw, first_metric_id});
   return Status::OK();
 }
 
-Status TaskPlan::AddQueryBackfilled(const query::QueryDef& query) {
+Status TaskPlan::AddQueryBackfilled(const query::QueryDef& query,
+                                    uint64_t through_offset) {
   auto island = std::make_unique<Island>(reservoir_);
   RAILGUN_RETURN_IF_ERROR(AddQueryToIsland(query, island.get()));
   // Installed before the replay so budget sweeps cover its states.
@@ -144,9 +147,11 @@ Status TaskPlan::AddQueryBackfilled(const query::QueryDef& query) {
   // start at the oldest event, so the window mechanics replay exactly.
   Status s;
   auto replay_iter = reservoir_->NewIterator();
-  while (s.ok() && !replay_iter->AtEnd()) {
-    const Event event = replay_iter->event();  // Copy: we advance below.
-    s = ProcessEventInIsland(event, replaying, /*results=*/nullptr);
+  while (s.ok() && !replay_iter->AtEnd() &&
+         replay_iter->event().offset <= through_offset) {
+    // replay_iter pins the event's chunk until it advances below.
+    s = ProcessEventInIsland(replay_iter->event(), replaying,
+                             /*results=*/nullptr);
     if (s.ok()) s = MaybeSweep();
     replay_iter->Advance();
   }
@@ -180,12 +185,11 @@ Status TaskPlan::ProcessEvent(const Event& event,
 
 Status TaskPlan::ProcessEventInIsland(const Event& event, Island* island,
                                       std::vector<MetricResult>* results) {
-  window::EdgeDeltas edges;
-  island->windows_mgr.Advance(event.timestamp, &edges);
+  island->windows_mgr.Advance(event.timestamp, &island->edges);
 
-  WindowDelta delta;
+  WindowDelta& delta = island->delta;
   for (auto& wnode : island->windows) {
-    wnode.op->Collect(event.timestamp, edges, &delta);
+    wnode.op->Collect(event.timestamp, island->edges, &delta);
     RAILGUN_RETURN_IF_ERROR(ApplyDelta(delta, &wnode));
 
     // Report the (updated) aggregations for the arriving event's entity.
@@ -436,25 +440,75 @@ void TaskPlan::GroupKeyOf(const Event& event, const GroupNode& group,
 }
 
 void TaskPlan::SaveWindowPositions(std::string* blob) const {
-  std::string tmp;
+  // Layout: next metric id | island count | per island: query count,
+  // (statement, first metric id) per query, edge positions.
+  PutVarint64(blob, next_metric_id_);
+  PutVarint32(blob, static_cast<uint32_t>(islands_.size()));
+  std::string positions;
   for (const auto& island : islands_) {
-    tmp.clear();
-    island->windows_mgr.SavePositions(&tmp);
-    PutLengthPrefixedSlice(blob, tmp);
+    PutVarint32(blob, static_cast<uint32_t>(island->queries.size()));
+    for (const PlannedQuery& q : island->queries) {
+      PutLengthPrefixedSlice(blob, q.statement);
+      PutVarint64(blob, q.first_metric_id);
+    }
+    positions.clear();
+    island->windows_mgr.SavePositions(&positions);
+    PutLengthPrefixedSlice(blob, positions);
   }
 }
 
-Status TaskPlan::RestoreWindowPositions(const std::string& blob) {
+Status TaskPlan::RestoreWindowPositions(
+    const std::string& blob, const std::vector<query::QueryDef>& queries) {
+  if (num_metrics_ != 0 || islands_.size() != 1) {
+    return Status::InvalidArgument("window positions restore into a used plan");
+  }
   Slice in(blob);
-  for (auto& island : islands_) {
-    Slice island_blob;
-    if (!GetLengthPrefixedSlice(&in, &island_blob)) {
+  uint64_t next_metric_id;
+  uint32_t num_islands;
+  if (!GetVarint64(&in, &next_metric_id) || !GetVarint32(&in, &num_islands) ||
+      num_islands == 0) {
+    return Status::Corruption("window position blob header");
+  }
+  for (uint32_t i = 0; i < num_islands; ++i) {
+    if (i > 0) islands_.push_back(std::make_unique<Island>(reservoir_));
+    Island* island = islands_.back().get();
+    uint32_t num_queries;
+    if (!GetVarint32(&in, &num_queries)) {
+      return Status::Corruption("window position blob island");
+    }
+    for (uint32_t k = 0; k < num_queries; ++k) {
+      Slice statement;
+      uint64_t first_metric_id;
+      if (!GetLengthPrefixedSlice(&in, &statement) ||
+          !GetVarint64(&in, &first_metric_id)) {
+        return Status::Corruption("window position blob query");
+      }
+      auto q = std::find_if(queries.begin(), queries.end(),
+                            [&](const query::QueryDef& def) {
+                              return Slice(def.raw) == statement;
+                            });
+      if (q == queries.end()) continue;
+      next_metric_id_ = first_metric_id;
+      RAILGUN_RETURN_IF_ERROR(AddQueryToIsland(*q, island));
+    }
+    Slice positions;
+    if (!GetLengthPrefixedSlice(&in, &positions)) {
       return Status::Corruption("window position blob too short");
     }
     RAILGUN_RETURN_IF_ERROR(
-        island->windows_mgr.RestorePositions(island_blob.ToString()));
+        island->windows_mgr.RestorePositions(positions.ToString()));
   }
+  next_metric_id_ = next_metric_id;
   return Status::OK();
+}
+
+bool TaskPlan::HasQuery(const std::string& statement) const {
+  for (const auto& island : islands_) {
+    for (const PlannedQuery& q : island->queries) {
+      if (q.statement == statement) return true;
+    }
+  }
+  return false;
 }
 
 size_t TaskPlan::num_window_nodes() const {

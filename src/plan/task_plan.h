@@ -60,10 +60,12 @@ class TaskPlan {
   Status AddQuery(const query::QueryDef& query);
 
   // Registers a query and backfills its aggregation state from the
-  // events already in the reservoir (paper §6 future work). The new
-  // metrics run in their own DAG island so historical replay cannot
-  // disturb the positions of existing window iterators.
-  Status AddQueryBackfilled(const query::QueryDef& query);
+  // events already in the reservoir (paper §6 future work), stopping
+  // before the first event past `through_offset`. The new metrics run in
+  // their own DAG island so historical replay cannot disturb the
+  // positions of existing window iterators.
+  Status AddQueryBackfilled(const query::QueryDef& query,
+                            uint64_t through_offset = UINT64_MAX);
 
   // Advances every window for the arriving event (already appended to
   // the reservoir) and updates all aggregation states. Appends one
@@ -81,11 +83,20 @@ class TaskPlan {
 
   const StateTableStats& state_stats() const { return stats_; }
 
-  // Serializes / restores every window-edge iterator position across the
-  // plan (checkpoint support). Restore must be called after the same
-  // queries were re-added in the same order.
+  // Serializes the plan's layout for a checkpoint: every island's
+  // queries (statement text and first metric id) and the position of
+  // each of its window-edge iterators.
   void SaveWindowPositions(std::string* blob) const;
-  Status RestoreWindowPositions(const std::string& blob);
+  // Rebuilds that layout on a freshly initialized plan: each recorded
+  // island is re-created with its queries, looked up by statement text
+  // in `queries`, under their recorded metric ids and without replay,
+  // and its iterators are restored. A recorded query missing from
+  // `queries` is left out; its metric ids stay reserved.
+  Status RestoreWindowPositions(const std::string& blob,
+                                const std::vector<query::QueryDef>& queries);
+
+  // True if a query with this statement text is planned.
+  bool HasQuery(const std::string& statement) const;
 
   // DAG introspection (tests + DESIGN ablations).
   size_t num_window_nodes() const;
@@ -147,12 +158,25 @@ class TaskPlan {
     std::vector<FilterNode> filters;
   };
 
+  // A query as installed: its statement text and the metric id of its
+  // first aggregation (the rest follow consecutively).
+  struct PlannedQuery {
+    std::string statement;
+    uint64_t first_metric_id;
+  };
+
   // An island is an independently advanced sub-DAG; island 0 holds all
   // normally added queries, and each backfilled query gets its own.
   struct Island {
     explicit Island(reservoir::Reservoir* reservoir) : windows_mgr(reservoir) {}
     window::WindowManager windows_mgr;
     std::vector<WindowNode> windows;
+    std::vector<PlannedQuery> queries;
+    // Per-event scratch, reused so an event allocates and copies
+    // nothing: the drained edges (pointers into pinned chunks, valid
+    // until the next Advance) and one window's share of them.
+    window::EdgeDeltas edges;
+    window::WindowDelta delta;
   };
 
   Status AddQueryToIsland(const query::QueryDef& query, Island* island);

@@ -133,7 +133,17 @@ Status Reservoir::AppendLocked(const Event& event, bool* accepted) {
     }
   }
 
-  Event to_add = event;
+  // Decide where the event goes (and whether its timestamp is
+  // rewritten) from its id and timestamp, then copy it in exactly once.
+  Micros timestamp = event.timestamp;
+  auto add_to = [&](InMemoryChunk* target) {
+    Event copy = event;
+    copy.timestamp = timestamp;
+    target->chunk->Add(std::move(copy));
+    target->ids.insert(event.id);
+    *accepted = true;
+  };
+
   // The open chunk's lower time boundary: events older than this are
   // out of order with respect to chunks that already closed.
   Micros open_boundary = last_closed_max_ts_;
@@ -143,36 +153,31 @@ Status Reservoir::AppendLocked(const Event& event, bool* accepted) {
     open_boundary = transition_.back().chunk->max_timestamp();
   }
 
-  if (open_boundary >= 0 && to_add.timestamp < open_boundary) {
+  if (open_boundary >= 0 && timestamp < open_boundary) {
     // Grace handling: transition chunks still accept late events that
     // fall inside (or just before) their time range, newest first.
     for (auto it = transition_.rbegin(); it != transition_.rend(); ++it) {
-      if (to_add.timestamp >= it->chunk->min_timestamp()) {
-        it->chunk->Add(to_add);
-        it->ids.insert(to_add.id);
+      if (timestamp >= it->chunk->min_timestamp()) {
+        add_to(&*it);
         ++stats_.late_transition_adds;
-        *accepted = true;
         return Status::OK();
       }
     }
-    if (!transition_.empty() &&
-        to_add.timestamp > last_closed_max_ts_) {
+    if (!transition_.empty() && timestamp > last_closed_max_ts_) {
       // Older than every transition chunk's range but newer than the
       // durable chunks: absorb into the oldest transition chunk.
-      transition_.front().chunk->Add(to_add);
-      transition_.front().ids.insert(to_add.id);
+      add_to(&transition_.front());
       ++stats_.late_transition_adds;
-      *accepted = true;
       return Status::OK();
     }
-    if (to_add.timestamp < last_closed_max_ts_) {
+    if (timestamp < last_closed_max_ts_) {
       // Truly late: older than data already persisted.
       switch (options_.late_policy) {
         case LateEventPolicy::kDiscard:
           ++stats_.late_drops;
           return Status::OK();
         case LateEventPolicy::kRewriteTimestamp:
-          to_add.timestamp = open_boundary;
+          timestamp = open_boundary;
           ++stats_.late_rewrites;
           break;
       }
@@ -180,11 +185,8 @@ Status Reservoir::AppendLocked(const Event& event, bool* accepted) {
     // Otherwise: within the open chunk's tolerance (sorted at close).
   }
 
-  open_.chunk->Add(to_add);
-  open_.ids.insert(to_add.id);
-  *accepted = true;
-
-  MaybeCloseTransitionsLocked(to_add.timestamp);
+  add_to(&open_);
+  MaybeCloseTransitionsLocked(timestamp);
   if (open_.chunk->EstimatedBytes() >= options_.chunk_target_bytes) {
     CloseOpenChunkLocked();
   }

@@ -83,8 +83,12 @@ class ReservoirIterator {
   // False when positioned past the newest available event.
   bool AtEnd() const { return !valid_; }
   // REQUIRES: !AtEnd(). The reference is only stable until the next
-  // Append to the reservoir (the open chunk's storage may grow).
+  // Append to the reservoir (the open chunk's storage may grow), and
+  // only while the chunk stays pinned: by this iterator, or by a copy of
+  // chunk() taken before the iterator moves on.
   const Event& event() const { return chunk_->event(index_); }
+  // The chunk the iterator is positioned in (null when none is loaded).
+  const std::shared_ptr<Chunk>& chunk() const { return chunk_; }
 
   // Moves forward one event. After AtEnd(), call Refresh() (cheap) to
   // pick up newly appended events.

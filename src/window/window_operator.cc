@@ -1,5 +1,7 @@
 #include "window/window_operator.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 
 namespace railgun::window {
@@ -57,34 +59,69 @@ WindowOperator* WindowManager::GetOrCreate(const WindowSpec& spec) {
   return raw;
 }
 
-void WindowManager::Advance(Micros now, EdgeDeltas* deltas) {
-  deltas->entered_by_offset.clear();
-  deltas->expired_by_offset.clear();
+namespace {
 
-  // Heads: every event with timestamp <= now - offset enters.
-  for (auto& [offset, iter] : heads_) {
-    auto& out = deltas->entered_by_offset[offset];
-    const Micros threshold = now - offset;
-    iter->Refresh();
-    while (!iter->AtEnd() && iter->event().timestamp <= threshold) {
-      out.push_back(iter->event());
-      iter->Advance();
-      iter->Refresh();
+// Moves `iter` forward while take(event) holds, appending pointers to
+// the events it passes and pinning each chunk they live in.
+template <typename Take>
+void DrainWhile(ReservoirIterator* iter, Take take,
+                std::vector<const Event*>* out,
+                std::vector<std::shared_ptr<reservoir::Chunk>>* pins) {
+  const reservoir::Chunk* pinned = nullptr;
+  iter->Refresh();
+  while (!iter->AtEnd() && take(iter->event())) {
+    if (iter->chunk().get() != pinned) {
+      pinned = iter->chunk().get();
+      pins->push_back(iter->chunk());
     }
+    out->push_back(&iter->event());
+    iter->Advance();
   }
+}
 
+// Drains every edge of one side into the entry for its offset. Edges
+// are only ever added, so resizing keeps every entry's capacity.
+void DrainEdges(
+    const std::map<Micros, std::unique_ptr<ReservoirIterator>>& edges,
+    Micros now, bool inclusive, std::vector<EdgeEvents>* out,
+    std::vector<std::shared_ptr<reservoir::Chunk>>* pins) {
+  out->resize(edges.size());
+  size_t i = 0;
+  for (const auto& [offset, iter] : edges) {
+    EdgeEvents& edge = (*out)[i++];
+    edge.first = offset;
+    edge.second.clear();
+    const Micros threshold = now - offset;
+    DrainWhile(
+        iter.get(),
+        [threshold, inclusive](const Event& e) {
+          return inclusive ? e.timestamp <= threshold
+                           : e.timestamp < threshold;
+        },
+        &edge.second, pins);
+  }
+}
+
+// The events drained by the edge at `offset`, or null if none exists.
+const std::vector<const Event*>* FindEdge(const std::vector<EdgeEvents>& edges,
+                                          Micros offset) {
+  auto it = std::lower_bound(
+      edges.begin(), edges.end(), offset,
+      [](const EdgeEvents& edge, Micros o) { return edge.first < o; });
+  return it != edges.end() && it->first == offset ? &it->second : nullptr;
+}
+
+}  // namespace
+
+void WindowManager::Advance(Micros now, EdgeDeltas* deltas) {
+  deltas->pins.clear();
+  // Heads: every event with timestamp <= now - offset enters.
+  DrainEdges(heads_, now, /*inclusive=*/true, &deltas->entered_by_offset,
+             &deltas->pins);
   // Tails: every event with timestamp < now - offset expires
   // (T_eval - ws <= t_i keeps the boundary event inside; see §2).
-  for (auto& [offset, iter] : tails_) {
-    auto& out = deltas->expired_by_offset[offset];
-    const Micros threshold = now - offset;
-    iter->Refresh();
-    while (!iter->AtEnd() && iter->event().timestamp < threshold) {
-      out.push_back(iter->event());
-      iter->Advance();
-      iter->Refresh();
-    }
-  }
+  DrainEdges(tails_, now, /*inclusive=*/false, &deltas->expired_by_offset,
+             &deltas->pins);
 }
 
 void WindowManager::SavePositions(std::string* blob) const {
@@ -194,33 +231,27 @@ WindowOperator::WindowOperator(WindowSpec spec,
                                reservoir::Reservoir* reservoir)
     : spec_(spec), reservoir_(reservoir) {}
 
-namespace {
-void AppendPointers(const std::vector<Event>& events,
-                    std::vector<const Event*>* out) {
-  out->reserve(out->size() + events.size());
-  for (const Event& e : events) out->push_back(&e);
-}
-}  // namespace
-
 void WindowOperator::Collect(Micros now, const EdgeDeltas& deltas,
                              WindowDelta* out) {
   out->entered.clear();
   out->expired.clear();
-  out->owned.clear();
+  out->pins.clear();
   out->reset = false;
   out->epoch = 0;
 
-  auto entered_it = deltas.entered_by_offset.find(spec_.HeadOffset());
-  const std::vector<Event>* entered =
-      entered_it == deltas.entered_by_offset.end() ? nullptr
-                                                   : &entered_it->second;
+  const std::vector<const Event*>* entered =
+      FindEdge(deltas.entered_by_offset, spec_.HeadOffset());
+  if (entered != nullptr) {
+    out->entered.insert(out->entered.end(), entered->begin(), entered->end());
+  }
 
   switch (spec_.kind) {
     case WindowKind::kSliding: {
-      if (entered != nullptr) AppendPointers(*entered, &out->entered);
-      auto expired_it = deltas.expired_by_offset.find(spec_.TailOffset());
-      if (expired_it != deltas.expired_by_offset.end()) {
-        AppendPointers(expired_it->second, &out->expired);
+      const std::vector<const Event*>* expired =
+          FindEdge(deltas.expired_by_offset, spec_.TailOffset());
+      if (expired != nullptr) {
+        out->expired.insert(out->expired.end(), expired->begin(),
+                            expired->end());
       }
       break;
     }
@@ -231,29 +262,24 @@ void WindowOperator::Collect(Micros now, const EdgeDeltas& deltas,
         out->reset = true;
         current_epoch_ = epoch;
       }
-      if (entered != nullptr) AppendPointers(*entered, &out->entered);
       break;
     }
-    case WindowKind::kInfinite: {
-      if (entered != nullptr) AppendPointers(*entered, &out->entered);
+    case WindowKind::kInfinite:
       break;
-    }
     case WindowKind::kCountSliding: {
-      auto head_it = deltas.entered_by_offset.find(0);
-      if (head_it != deltas.entered_by_offset.end()) {
-        AppendPointers(head_it->second, &out->entered);
-        in_window_ += head_it->second.size();
-      }
-      // The count tail drains a private iterator whose event references
-      // are invalidated by Advance: copy into owned storage first.
-      count_tail_->Refresh();
-      while (in_window_ > spec_.count && !count_tail_->AtEnd()) {
-        out->owned.push_back(count_tail_->event());
-        count_tail_->Advance();
-        count_tail_->Refresh();
-        --in_window_;
-      }
-      for (const Event& e : out->owned) out->expired.push_back(&e);
+      // Count windows have no delay, so their head is the offset-0 edge;
+      // the private tail expires whatever exceeds the newest `count`.
+      if (entered != nullptr) in_window_ += entered->size();
+      uint64_t excess = in_window_ > spec_.count ? in_window_ - spec_.count : 0;
+      DrainWhile(
+          count_tail_.get(),
+          [&excess](const Event&) {
+            if (excess == 0) return false;
+            --excess;
+            return true;
+          },
+          &out->expired, &out->pins);
+      in_window_ -= out->expired.size();
       break;
     }
   }

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "reservoir/reservoir.h"
@@ -21,15 +22,23 @@
 
 namespace railgun::window {
 
+// Edge pointer lifetime: WindowManager::Advance and WindowOperator::Collect
+// hand out pointers into reservoir chunks instead of copies. Each
+// EdgeDeltas / WindowDelta holds a shared_ptr pin on every chunk its
+// pointers point into, so chunk-cache eviction cannot free them, but
+// the pointers are valid only until the next Advance or
+// Reservoir::Append (the open chunk's storage may grow, and closing it
+// re-sorts its events). The plan consumes them within the same step.
+
 // One advancement step's output for one window. Entered/expired point
-// into the EdgeDeltas storage (or `owned`) and are valid until the next
-// WindowManager::Advance — the plan consumes them within the same step.
+// into reservoir chunks pinned by the EdgeDeltas the delta was collected
+// from or by `pins`.
 struct WindowDelta {
   std::vector<const reservoir::Event*> entered;
   std::vector<const reservoir::Event*> expired;
-  // Backing storage for events not owned by EdgeDeltas (count-window
-  // tails drain a private iterator).
-  std::vector<reservoir::Event> owned;
+  // Chunks a count-window tail drained (its private iterator may have
+  // moved past them).
+  std::vector<std::shared_ptr<reservoir::Chunk>> pins;
   // Tumbling windows: set when the window rolled over; downstream
   // aggregation state must reset before applying `entered`.
   bool reset = false;
@@ -37,10 +46,17 @@ struct WindowDelta {
   Micros epoch = 0;
 };
 
-// Drained edge events per arriving event, keyed by edge offset.
+// The events one edge drained, tagged with the edge's offset.
+using EdgeEvents = std::pair<Micros, std::vector<const reservoir::Event*>>;
+
+// Drained edge events per arriving event: one entry per edge, in
+// ascending offset order. Reused across Advance calls, so a caller that
+// keeps one EdgeDeltas allocates nothing per event once warm.
 struct EdgeDeltas {
-  std::map<Micros, std::vector<reservoir::Event>> entered_by_offset;
-  std::map<Micros, std::vector<reservoir::Event>> expired_by_offset;
+  std::vector<EdgeEvents> entered_by_offset;
+  std::vector<EdgeEvents> expired_by_offset;
+  // Every chunk the pointers above point into.
+  std::vector<std::shared_ptr<reservoir::Chunk>> pins;
 };
 
 class WindowOperator;
@@ -57,7 +73,8 @@ class WindowManager {
   WindowOperator* GetOrCreate(const WindowSpec& spec);
 
   // Advances all shared edges to the arrival timestamp `now` and fills
-  // the per-offset deltas consumed by WindowOperator::Collect.
+  // the per-offset deltas consumed by WindowOperator::Collect. Drops the
+  // pins (and so invalidates the pointers) of the previous call.
   void Advance(Micros now, EdgeDeltas* deltas);
 
   size_t num_operators() const { return operators_.size(); }

@@ -503,6 +503,129 @@ TEST(BlockingPollTest, SimulatedVisibilityWakesParkedConsumer) {
   EXPECT_LT(elapsed, 2 * kMicrosPerSecond);
 }
 
+// A consumer looping on blocking polls in its own thread, counting the
+// polls that returned and the messages they delivered.
+class Poller {
+ public:
+  Poller(MessageBus* bus, std::string id)
+      : bus_(bus), id_(std::move(id)), thread_([this] { Loop(); }) {}
+  ~Poller() {
+    stop_ = true;
+    bus_->Wake();
+    thread_.join();
+  }
+
+  int returns() const { return returns_.load(); }
+  size_t received() const { return received_.load(); }
+
+ private:
+  void Loop() {
+    std::vector<Message> out;
+    while (!stop_) {
+      EXPECT_TRUE(bus_->Poll(id_, 100, &out, 5 * kMicrosPerSecond).ok());
+      received_ += out.size();
+      ++returns_;
+    }
+  }
+
+  MessageBus* bus_;
+  const std::string id_;
+  std::atomic<bool> stop_{false};
+  std::atomic<int> returns_{0};
+  std::atomic<size_t> received_{0};
+  std::thread thread_;
+};
+
+// Spins (sleeping briefly) until pred() holds or a second passes.
+template <typename Pred>
+bool Eventually(Pred pred) {
+  const Micros deadline = MonotonicClock::Default()->NowMicros() +
+                          kMicrosPerSecond;
+  while (!pred()) {
+    if (MonotonicClock::Default()->NowMicros() > deadline) return false;
+    MonotonicClock::Default()->SleepMicros(100);
+  }
+  return true;
+}
+
+// Subscribes c0 and c1 to a two-partition topic, lets both absorb the
+// assignment, and names the owners of partitions 0 and 1.
+void TwoMemberGroup(MessageBus* bus, std::string* owner0,
+                    std::string* owner1) {
+  ASSERT_TRUE(bus->CreateTopic("t", 2).ok());
+  ASSERT_TRUE(bus->Subscribe("c0", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus->Subscribe("c1", "g", {"t"}, "", nullptr, {}).ok());
+  std::vector<Message> out;
+  ASSERT_TRUE(bus->Poll("c0", 10, &out).ok());
+  ASSERT_TRUE(bus->Poll("c1", 10, &out).ok());
+  const std::vector<TopicPartition> a0 = bus->AssignmentOf("c0");
+  ASSERT_EQ(a0.size(), 1u);
+  ASSERT_EQ(bus->AssignmentOf("c1").size(), 1u);
+  *owner0 = a0[0].partition == 0 ? "c0" : "c1";
+  *owner1 = a0[0].partition == 0 ? "c1" : "c0";
+}
+
+TEST(TargetedWakeTest, ProducesWakeOnlyThePartitionOwner) {
+  MessageBus bus(FastBus());
+  std::string owner0, owner1;
+  TwoMemberGroup(&bus, &owner0, &owner1);
+  Poller p0(&bus, owner0), p1(&bus, owner1);
+  ASSERT_TRUE(Eventually([&] {
+    return bus.PollParkStatsOf(owner0).parks > 0 &&
+           bus.PollParkStatsOf(owner1).parks > 0;
+  }));
+
+  const uint64_t bus_wakes = bus.poll_wake_count();
+  const uint64_t owner_wakes = bus.PollParkStatsOf(owner0).wakes;
+  const MessageBus::ParkStats idle = bus.PollParkStatsOf(owner1);
+  const Micros start = MonotonicClock::Default()->NowMicros();
+  constexpr size_t kMessages = 50;
+  for (size_t k = 0; k < kMessages; ++k) {
+    // Each produce finds the owner parked again.
+    const uint64_t parks = bus.PollParkStatsOf(owner0).parks;
+    ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", "m").ok());
+    ASSERT_TRUE(Eventually([&] { return p0.received() == k + 1; }));
+    ASSERT_TRUE(
+        Eventually([&] { return bus.PollParkStatsOf(owner0).parks > parks; }));
+  }
+  const Micros elapsed = MonotonicClock::Default()->NowMicros() - start;
+
+  // The idle owner was never notified; it only re-parked when its
+  // bounded park slice ran out.
+  const MessageBus::ParkStats after = bus.PollParkStatsOf(owner1);
+  EXPECT_EQ(after.wakes, idle.wakes);
+  EXPECT_LE(after.parks - idle.parks,
+            static_cast<uint64_t>(1 + elapsed / (10 * kMicrosPerMilli)));
+  EXPECT_EQ(p1.returns(), 0);
+  // Every notification went to the partition's owner.
+  EXPECT_GT(bus.poll_wake_count(), bus_wakes);
+  EXPECT_EQ(bus.poll_wake_count() - bus_wakes,
+            bus.PollParkStatsOf(owner0).wakes - owner_wakes);
+  EXPECT_EQ(p0.received(), kMessages);
+}
+
+TEST(TargetedWakeTest, WakeConsumerInterruptsOnlyItsTargetRebalanceBoth) {
+  MessageBus bus(FastBus());
+  std::string owner0, owner1;
+  TwoMemberGroup(&bus, &owner0, &owner1);
+  Poller p0(&bus, "c0"), p1(&bus, "c1");
+  ASSERT_TRUE(Eventually([&] {
+    return bus.PollParkStatsOf("c0").parks > 0 &&
+           bus.PollParkStatsOf("c1").parks > 0;
+  }));
+
+  const uint64_t c1_wakes = bus.PollParkStatsOf("c1").wakes;
+  ASSERT_TRUE(bus.WakeConsumer("c0").ok());
+  ASSERT_TRUE(Eventually([&] { return p0.returns() == 1; }));
+  EXPECT_EQ(p1.returns(), 0);
+  EXPECT_EQ(bus.PollParkStatsOf("c1").wakes, c1_wakes);
+
+  // A rebalance concerns every member: both polls return.
+  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
+  EXPECT_TRUE(Eventually([&] { return p0.returns() >= 2; }));
+  EXPECT_TRUE(Eventually([&] { return p1.returns() >= 1; }));
+}
+
 TEST(RetentionTest, TruncatesBelowMinimumCommittedOffset) {
   BusOptions options = FastBus();
   options.retention_messages = 5;

@@ -212,8 +212,7 @@ TEST_F(TaskPlanTest, WindowPositionsSurviveSaveRestore) {
   ASSERT_TRUE(plan2->Init().ok());
   auto q = query::ParseQuery(
       "SELECT sum(amount) FROM p GROUP BY cardId OVER sliding 5 minutes");
-  ASSERT_TRUE(plan2->AddQuery(q.value()).ok());
-  ASSERT_TRUE(plan2->RestoreWindowPositions(blob).ok());
+  ASSERT_TRUE(plan2->RestoreWindowPositions(blob, {q.value()}).ok());
 
   Event e;
   e.timestamp = 30 * kMicrosPerMinute;
@@ -372,6 +371,92 @@ TEST_F(TaskPlanTest, UnknownFieldsRejected) {
       "SELECT count(*) FROM p GROUP BY nope OVER infinite");
   ASSERT_TRUE(q2.ok());
   EXPECT_FALSE(plan_->AddQuery(q2.value()).ok());
+}
+
+TEST(TaskPlanEdgeLifetimeTest, MisalignedWindowsOverEvictedChunksMatch) {
+  // The plan reads drained events through pointers into reservoir
+  // chunks. A two-chunk cache with asynchronous I/O and prefetch, small
+  // chunks and misaligned delayed windows spanning many of them evict
+  // the chunks the tails drain while their pointers are in use; every
+  // reported sum and count must still match a recomputation over the
+  // raw event list.
+  const std::string dir = "/tmp/railgun_plan_lifetime_test";
+  ASSERT_TRUE(Env::Default()->RemoveDirRecursive(dir).ok());
+  reservoir::ReservoirOptions ropts;
+  ropts.chunk_target_bytes = 512;
+  ropts.cache_capacity = 2;
+  ropts.async_io = true;
+  ropts.enable_prefetch = true;
+  ropts.schema_fields = {{"cardId", FieldType::kString},
+                         {"merchantId", FieldType::kString},
+                         {"amount", FieldType::kDouble}};
+  reservoir::Reservoir reservoir(ropts, dir + "/res");
+  ASSERT_TRUE(reservoir.Open().ok());
+  std::unique_ptr<storage::DB> db;
+  ASSERT_TRUE(storage::DB::Open(storage::DBOptions(), dir + "/db", &db).ok());
+  TaskPlan plan(&reservoir, db.get());
+  ASSERT_TRUE(plan.Init().ok());
+
+  struct Window {
+    Micros size;
+    Micros delay;
+  };
+  const std::vector<Window> windows = {{40, 0}, {25, 9}, {70, 17}, {33, 50}};
+  for (size_t w = 0; w < windows.size(); ++w) {
+    const std::string sql =
+        "SELECT sum(amount), count(*) FROM p GROUP BY cardId OVER sliding " +
+        std::to_string(windows[w].size) + " seconds delayed by " +
+        std::to_string(windows[w].delay) + " seconds";
+    auto q = query::ParseQuery(sql);
+    ASSERT_TRUE(q.ok()) << sql;
+    // Half the windows in island 0, half backfilled into their own.
+    ASSERT_TRUE((w % 2 == 0 ? plan.AddQuery(q.value())
+                            : plan.AddQueryBackfilled(q.value()))
+                    .ok());
+  }
+
+  std::mt19937_64 rng(15);
+  std::vector<Event> events;
+  Micros ts = 0;
+  for (uint64_t i = 1; i <= 1200; ++i) {
+    // Mostly one event a second; every 150 events a jump past every
+    // window, so one step expires many chunks' worth of events.
+    ts += (i % 150 == 0 ? 120 : static_cast<Micros>(rng() % 3)) *
+          kMicrosPerSecond;
+    Event e;
+    e.timestamp = ts;
+    e.id = e.offset = i;
+    e.values = {FieldValue("card" + std::to_string(rng() % 5)),
+                FieldValue("m" + std::to_string(rng() % 7)),
+                FieldValue(static_cast<double>(rng() % 64))};
+    bool accepted = false;
+    ASSERT_TRUE(reservoir.Append(e, &accepted).ok());
+    events.push_back(e);
+    std::vector<MetricResult> results;
+    ASSERT_TRUE(plan.ProcessEvent(e, &results).ok());
+    ASSERT_EQ(results.size(), 2 * windows.size());
+
+    // Results come per window in creation order (island 0's first).
+    const std::vector<size_t> order = {0, 2, 1, 3};
+    for (size_t k = 0; k < order.size(); ++k) {
+      const Window& w = windows[order[k]];
+      const Micros newest = ts - w.delay * kMicrosPerSecond;
+      const Micros oldest = newest - w.size * kMicrosPerSecond;
+      double sum = 0, count = 0;
+      for (const Event& past : events) {
+        if (past.values[0] == e.values[0] && past.timestamp >= oldest &&
+            past.timestamp <= newest) {
+          sum += past.values[2].ToNumber();
+          ++count;
+        }
+      }
+      ASSERT_EQ(results[2 * k].value.ToNumber(), sum)
+          << results[2 * k].metric_name << " event " << i;
+      ASSERT_EQ(results[2 * k + 1].value.ToNumber(), count)
+          << results[2 * k + 1].metric_name << " event " << i;
+    }
+  }
+  EXPECT_GT(reservoir.cache_stats().evictions, 0u);
 }
 
 }  // namespace

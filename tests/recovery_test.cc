@@ -180,6 +180,33 @@ class TaskProcessorRecoveryTest : public ::testing::Test {
     return count;
   }
 
+  // One event per second over forty cards with varying amounts, so a
+  // one-minute window enters and expires continuously.
+  msg::Message CardMessage(uint64_t offset) const {
+    const reservoir::Schema schema(0, stream_.fields);
+    EventEnvelope env;
+    env.request_id = offset + 1;
+    env.reply_topic = "replies.r";
+    env.event = SimpleEvent(static_cast<Micros>(offset) * kMicrosPerSecond,
+                            offset + 1);
+    env.event.values = {FieldValue("card" + std::to_string(offset * 7 % 40)),
+                        FieldValue(static_cast<double>(offset % 13))};
+    msg::Message m;
+    m.topic = "payments.cardId";
+    m.offset = offset;
+    EncodeEventEnvelope(env, schema, &m.payload);
+    return m;
+  }
+
+  static std::string Render(const ReplyEnvelope& reply) {
+    std::string out;
+    for (const auto& r : reply.results) {
+      out += r.metric_name + "[" + r.group_key + "]=" + r.value.ToString() +
+             ";";
+    }
+    return out;
+  }
+
   std::string dir_;
   StreamDef stream_;
   TaskProcessorOptions options_;
@@ -257,29 +284,6 @@ TEST_F(TaskProcessorRecoveryTest,
       query::ParseQuery("SELECT count(*), sum(amount), max(amount) FROM "
                         "payments GROUP BY cardId OVER sliding 1 minute")
           .value()};
-  const reservoir::Schema schema(0, stream_.fields);
-  auto message = [&](uint64_t offset) {
-    EventEnvelope env;
-    env.request_id = offset + 1;
-    env.reply_topic = "replies.r";
-    env.event = SimpleEvent(static_cast<Micros>(offset) * kMicrosPerSecond,
-                            offset + 1);
-    env.event.values = {FieldValue("card" + std::to_string(offset * 7 % 40)),
-                        FieldValue(static_cast<double>(offset % 13))};
-    msg::Message m;
-    m.topic = "payments.cardId";
-    m.offset = offset;
-    EncodeEventEnvelope(env, schema, &m.payload);
-    return m;
-  };
-  auto render = [](const ReplyEnvelope& reply) {
-    std::string out;
-    for (const auto& r : reply.results) {
-      out += r.metric_name + "[" + r.group_key + "]=" + r.value.ToString() +
-             ";";
-    }
-    return out;
-  };
   constexpr uint64_t kEvents = 400;
   constexpr uint64_t kCheckpointAt = 150;
   constexpr uint64_t kCrashAt = 300;
@@ -292,8 +296,8 @@ TEST_F(TaskProcessorRecoveryTest,
     ASSERT_TRUE(proc.Open().ok());
     ReplyEnvelope reply;
     for (uint64_t i = 0; i < kEvents; ++i) {
-      ASSERT_TRUE(proc.ProcessMessage(message(i), &reply).ok());
-      clean.push_back(render(reply));
+      ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &reply).ok());
+      clean.push_back(Render(reply));
     }
   }
 
@@ -310,8 +314,8 @@ TEST_F(TaskProcessorRecoveryTest,
       ASSERT_TRUE(proc.Open().ok());
       ReplyEnvelope reply;
       for (uint64_t i = 0; i < kCrashAt; ++i) {
-        ASSERT_TRUE(proc.ProcessMessage(message(i), &reply).ok());
-        ASSERT_EQ(render(reply), clean[i]) << "offset " << i;
+        ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &reply).ok());
+        ASSERT_EQ(Render(reply), clean[i]) << "offset " << i;
         if (i == kCheckpointAt) {
           ASSERT_TRUE(proc.Checkpoint().ok());
         }
@@ -326,12 +330,112 @@ TEST_F(TaskProcessorRecoveryTest,
     ASSERT_LE(proc.replay_offset(), kCheckpointAt + 1);
     ReplyEnvelope reply;
     for (uint64_t i = proc.replay_offset(); i < kEvents; ++i) {
-      ASSERT_TRUE(proc.ProcessMessage(message(i), &reply).ok());
+      ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &reply).ok());
       // Offsets up to the checkpoint are replayed into the reservoir
       // only; everything after it must reproduce the clean run.
       if (i > kCheckpointAt) {
-        ASSERT_EQ(render(reply), clean[i]) << "offset " << i;
+        ASSERT_EQ(Render(reply), clean[i]) << "offset " << i;
       }
+    }
+  }
+}
+
+TEST_F(TaskProcessorRecoveryTest, MetricAddedAfterOpenRecoversItsWindows) {
+  // ADD METRIC after CREATE STREAM: the task opens with no queries and
+  // SyncQueries backfills the metric into its own plan island. A
+  // recovered task must resume that island's window edges where the
+  // checkpoint left them, not restart them at the oldest event and
+  // count the checkpointed window a second time.
+  const query::QueryDef metric =
+      query::ParseQuery("SELECT count(*), sum(amount) FROM payments "
+                        "GROUP BY cardId OVER sliding 1 minute")
+          .value();
+  StreamDef with_metric = stream_;
+  with_metric.queries = {metric};
+  stream_.queries.clear();
+  constexpr uint64_t kEvents = 400;
+  constexpr uint64_t kCheckpointAt = 150;
+  constexpr uint64_t kCrashAt = 300;
+
+  // Opens a processor on the bare stream, then adds the metric.
+  auto run = [&](const std::string& dir, uint64_t crash_at,
+                 std::vector<std::string>* replies) {
+    TaskProcessor proc(options_, dir, stream_, "payments.cardId");
+    ASSERT_TRUE(proc.Open().ok());
+    ASSERT_TRUE(proc.SyncQueries(with_metric).ok());
+    ReplyEnvelope reply;
+    for (uint64_t i = 0; i < crash_at; ++i) {
+      ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &reply).ok());
+      replies->push_back(Render(reply));
+      if (i == kCheckpointAt) ASSERT_TRUE(proc.Checkpoint().ok());
+    }
+  };
+  std::vector<std::string> clean, crashed;
+  const std::string clean_dir = dir_ + "_clean";
+  ASSERT_TRUE(Env::Default()->RemoveDirRecursive(clean_dir).ok());
+  run(clean_dir, kEvents, &clean);
+  run(dir_, kCrashAt, &crashed);
+  ASSERT_EQ(crashed[kCrashAt - 1], clean[kCrashAt - 1]);
+
+  // The restarted task gets the current stream definition.
+  TaskProcessor proc(options_, dir_, with_metric, "payments.cardId");
+  ASSERT_TRUE(proc.Open().ok());
+  ASSERT_LE(proc.replay_offset(), kCheckpointAt + 1);
+  ReplyEnvelope reply;
+  for (uint64_t i = proc.replay_offset(); i < kEvents; ++i) {
+    ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &reply).ok());
+    if (i > kCheckpointAt) {
+      ASSERT_EQ(Render(reply), clean[i]) << "offset " << i;
+    }
+  }
+}
+
+TEST_F(TaskProcessorRecoveryTest, MetricAddedAfterCheckpointIsBackfilled) {
+  // A metric added between the last checkpoint and the crash is not in
+  // the checkpointed layout: recovery backfills it from the reservoir
+  // instead of sharing the restored edges of the metrics that are.
+  const query::QueryDef first =
+      query::ParseQuery("SELECT count(*) FROM payments "
+                        "GROUP BY cardId OVER sliding 1 minute")
+          .value();
+  const query::QueryDef second =
+      query::ParseQuery("SELECT sum(amount) FROM payments "
+                        "GROUP BY cardId OVER sliding 1 minute")
+          .value();
+  StreamDef one = stream_, both = stream_;
+  one.queries = {first};
+  both.queries = {first, second};
+  constexpr uint64_t kEvents = 400;
+  constexpr uint64_t kCheckpointAt = 150;
+  constexpr uint64_t kSecondAt = 200;
+  constexpr uint64_t kCrashAt = 300;
+
+  auto run = [&](const std::string& dir, uint64_t crash_at,
+                 std::vector<std::string>* replies) {
+    TaskProcessor proc(options_, dir, one, "payments.cardId");
+    ASSERT_TRUE(proc.Open().ok());
+    ReplyEnvelope reply;
+    for (uint64_t i = 0; i < crash_at; ++i) {
+      if (i == kSecondAt) ASSERT_TRUE(proc.SyncQueries(both).ok());
+      ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &reply).ok());
+      replies->push_back(Render(reply));
+      if (i == kCheckpointAt) ASSERT_TRUE(proc.Checkpoint().ok());
+    }
+  };
+  std::vector<std::string> clean, crashed;
+  const std::string clean_dir = dir_ + "_clean";
+  ASSERT_TRUE(Env::Default()->RemoveDirRecursive(clean_dir).ok());
+  run(clean_dir, kEvents, &clean);
+  run(dir_, kCrashAt, &crashed);
+
+  TaskProcessor proc(options_, dir_, both, "payments.cardId");
+  ASSERT_TRUE(proc.Open().ok());
+  ReplyEnvelope reply;
+  for (uint64_t i = proc.replay_offset(); i < kEvents; ++i) {
+    ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &reply).ok());
+    // Before kSecondAt the clean run had no second metric to report.
+    if (i >= kSecondAt) {
+      ASSERT_EQ(Render(reply), clean[i]) << "offset " << i;
     }
   }
 }

@@ -2,6 +2,8 @@
 // iterator sharing across aligned windows (paper §4.1.1).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/env.h"
 #include "reservoir/reservoir.h"
 #include "window/window_operator.h"
@@ -332,6 +334,100 @@ TEST_F(WindowOperatorTest, RestoreBeforeCreationKeepsTumblingEpoch) {
   WindowDelta delta;
   restored_op->Collect(e.timestamp, edges, &delta);
   EXPECT_FALSE(delta.reset) << "restored epoch was dropped";
+}
+
+TEST(WindowEdgeLifetimeTest, DrainedPointersOutliveChunkEviction) {
+  // Edge deltas point into reservoir chunks instead of copying events.
+  // With a two-chunk cache, asynchronous I/O and prefetch, and windows
+  // whose edges trail the head by many chunks, the chunks a tail drains
+  // are evicted (and its iterator moves past them) within one Advance:
+  // only the deltas' pins keep them alive. Every drained event is read
+  // through its pointer after the whole step and checked against a
+  // brute-force recomputation of each window.
+  const std::string dir = "/tmp/railgun_window_lifetime_test";
+  ASSERT_TRUE(Env::Default()->RemoveDirRecursive(dir).ok());
+  reservoir::ReservoirOptions options;
+  options.chunk_target_bytes = 256;
+  options.cache_capacity = 2;
+  options.async_io = true;
+  options.enable_prefetch = true;
+  options.schema_fields = {{"tag", FieldType::kString}};
+  reservoir::Reservoir reservoir(options, dir);
+  ASSERT_TRUE(reservoir.Open().ok());
+
+  WindowManager manager(&reservoir);
+  const std::vector<WindowSpec> specs = {
+      WindowSpec::Sliding(50 * kMicrosPerSecond),
+      WindowSpec::Sliding(30 * kMicrosPerSecond, 7 * kMicrosPerSecond),
+      WindowSpec::Sliding(90 * kMicrosPerSecond, 13 * kMicrosPerSecond),
+      WindowSpec::Sliding(23 * kMicrosPerSecond, 41 * kMicrosPerSecond),
+      WindowSpec::CountSliding(40),
+  };
+  std::vector<WindowOperator*> ops;
+  for (const WindowSpec& spec : specs) ops.push_back(manager.GetOrCreate(spec));
+
+  std::vector<Event> appended;
+  // Per window: the ids it holds, maintained from its deltas alone.
+  std::vector<std::set<uint64_t>> held(specs.size());
+  std::vector<WindowDelta> deltas(specs.size());
+  EdgeDeltas edges;
+  Micros now = 0;
+  for (uint64_t id = 1; id <= 1500; ++id) {
+    // One event a second, with a jump every 100 events that makes the
+    // tails drain dozens of chunks in one step.
+    now += id % 100 == 0 ? 200 * kMicrosPerSecond : kMicrosPerSecond;
+    Event e;
+    e.timestamp = now;
+    e.id = id;
+    e.offset = id;
+    e.values = {FieldValue("event-" + std::to_string(id) +
+                           std::string(24, 'x'))};
+    bool accepted = false;
+    ASSERT_TRUE(reservoir.Append(e, &accepted).ok());
+    ASSERT_TRUE(accepted);
+    appended.push_back(e);
+
+    manager.Advance(now, &edges);
+    for (size_t w = 0; w < specs.size(); ++w) {
+      ops[w]->Collect(now, edges, &deltas[w]);
+    }
+    for (size_t w = 0; w < specs.size(); ++w) {
+      auto check = [&](const Event* drained) {
+        const Event& original = appended[drained->id - 1];
+        ASSERT_EQ(drained->timestamp, original.timestamp);
+        ASSERT_EQ(drained->values[0].as_string(),
+                  original.values[0].as_string());
+      };
+      for (const Event* in : deltas[w].entered) {
+        check(in);
+        ASSERT_TRUE(held[w].insert(in->id).second) << "entered twice";
+      }
+      for (const Event* out : deltas[w].expired) {
+        check(out);
+        ASSERT_EQ(held[w].erase(out->id), 1u) << "expired unheld";
+      }
+
+      std::set<uint64_t> expected;
+      if (specs[w].kind == WindowKind::kCountSliding) {
+        for (size_t i = appended.size() > specs[w].count
+                            ? appended.size() - specs[w].count
+                            : 0;
+             i < appended.size(); ++i) {
+          expected.insert(appended[i].id);
+        }
+      } else {
+        const Micros newest = now - specs[w].delay;
+        const Micros oldest = newest - specs[w].size;
+        for (const Event& a : appended) {
+          if (a.timestamp >= oldest && a.timestamp <= newest) {
+            expected.insert(a.id);
+          }
+        }
+      }
+      ASSERT_EQ(held[w], expected) << specs[w].ToString() << " at id " << id;
+    }
+  }
+  EXPECT_GT(reservoir.cache_stats().evictions, 0u);
 }
 
 }  // namespace
