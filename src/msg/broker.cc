@@ -27,7 +27,6 @@ void InProcessBus::SignalLocked(WakeSlot* slot) {
     // the epoch.
     slot->parked = false;
     poll_wakes_.fetch_add(1, std::memory_order_relaxed);
-    ++slot->stats.wakes;
     slot->cv.NotifyAll();
   }
 }
@@ -67,11 +66,13 @@ void InProcessBus::WakeAll() {
   for (auto& [id, slot] : wake_slots_) SignalLocked(slot.get());
 }
 
-InProcessBus::ParkStats InProcessBus::PollParkStatsOf(
-    const std::string& consumer_id) {
+void InProcessBus::DropWakeSlot(const std::string& consumer_id) {
   MutexLock lock(&wake_mu_);
-  auto it = wake_slots_.find(consumer_id);
-  return it == wake_slots_.end() ? ParkStats() : it->second->stats;
+  auto slot = wake_slots_.find(consumer_id);
+  if (slot == wake_slots_.end()) return;
+  WatchLocked(slot->second.get(), {}, 0);
+  SignalLocked(slot->second.get());
+  wake_slots_.erase(slot);
 }
 
 Status InProcessBus::SetTopicRetention(const std::string& topic,
@@ -379,16 +380,7 @@ Status InProcessBus::Unsubscribe(const std::string& consumer_id) {
       }
     }
   }
-  {
-    // A poll still parked on the slot re-registers on a fresh one.
-    MutexLock lock(&wake_mu_);
-    auto slot = wake_slots_.find(consumer_id);
-    if (slot != wake_slots_.end()) {
-      WatchLocked(slot->second.get(), {}, 0);
-      SignalLocked(slot->second.get());
-      wake_slots_.erase(slot);
-    }
-  }
+  DropWakeSlot(consumer_id);
   WakeAll();
   return Status::OK();
 }
@@ -460,6 +452,7 @@ void InProcessBus::CheckLivenessLocked() {
       git->second.members.erase(id);
       groups_to_rebalance.insert(git->first);
     }
+    DropWakeSlot(id);
   }
   for (const auto& g : groups_to_rebalance) RebalanceGroupLocked(g);
 }
@@ -522,10 +515,16 @@ Status InProcessBus::Poll(const std::string& consumer_id, size_t max_messages,
     bool delivered_callbacks = false;
     bool interrupted = false;
     Micros earliest_visible = 0;
-    RAILGUN_RETURN_IF_ERROR(PollOnce(
-        consumer_id, max_messages, out, &delivered_callbacks,
-        &earliest_visible, &interrupted, blocking ? &version : nullptr,
-        &assignment));
+    Status polled = PollOnce(consumer_id, max_messages, out,
+                             &delivered_callbacks, &earliest_visible,
+                             &interrupted, blocking ? &version : nullptr,
+                             &assignment);
+    if (!polled.ok()) {
+      // A fenced or removed consumer parks no more: drop the slot this
+      // poll may have registered after the fence dropped the old one.
+      if (slot != nullptr) DropWakeSlot(consumer_id);
+      return polled;
+    }
     if (!out->empty() || delivered_callbacks || interrupted || !blocking) {
       if (trace_poll_start != 0 && !out->empty()) {
         // Park-to-delivery latency; no context travels into a park, so
@@ -563,7 +562,6 @@ Status InProcessBus::Poll(const std::string& consumer_id, size_t max_messages,
       WatchLocked(slot.get(), assignment, version);
     } else if (slot->epoch == epoch) {
       poll_parks_.fetch_add(1, std::memory_order_relaxed);
-      ++slot->stats.parks;
       slot->parked = true;
       slot->cv.WaitFor(&wake_mu_, slice);
       slot->parked = false;
@@ -764,6 +762,7 @@ Status InProcessBus::KillConsumer(const std::string& consumer_id) {
       RebalanceGroupLocked(git->first);
     }
   }
+  DropWakeSlot(consumer_id);
   WakeAll();
   return Status::OK();
 }

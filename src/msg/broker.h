@@ -183,12 +183,6 @@ class InProcessBus : public Bus {
   uint64_t poll_wake_count() const {
     return poll_wakes_.load(std::memory_order_relaxed);
   }
-  // The same two counts for one consumer (zero if it never parked).
-  struct ParkStats {
-    uint64_t parks = 0;
-    uint64_t wakes = 0;
-  };
-  ParkStats PollParkStatsOf(const std::string& consumer_id);
   // The consumer's tracked position for a partition (its committed
   // floor contribution). NotFound when the consumer does not track it.
   StatusOr<uint64_t> PositionOf(const std::string& consumer_id,
@@ -259,7 +253,6 @@ class InProcessBus : public Bus {
     CondVar cv;
     uint64_t epoch = 0;
     bool parked = false;  // Parked and not yet signalled.
-    ParkStats stats;
     // The assignment the consumer last polled (ConsumerState's
     // assignment_version; 0 = none): appends to these partitions wake it.
     uint64_t watched_version = 0;
@@ -283,6 +276,10 @@ class InProcessBus : public Bus {
   void WatchLocked(WakeSlot* slot, std::vector<TopicPartition> assignment,
                    uint64_t version) REQUIRES(wake_mu_);
   void SignalLocked(WakeSlot* slot) REQUIRES(wake_mu_);
+  // Unregisters a consumer that left or was fenced. A poll still parked
+  // on its slot is signalled, and registers a fresh slot if it parks
+  // again.
+  void DropWakeSlot(const std::string& consumer_id);
   // Wakes the consumers watching the listed partitions of `topic`.
   void WakeWatchers(const std::string& topic, const int* partitions,
                     size_t n);

@@ -23,6 +23,12 @@ constexpr uint64_t kStateBudgetWriteBuffers = 4;
 constexpr uint64_t kEntryOverheadBytes = 96;
 constexpr uint64_t kStateOverheadBytes = sizeof(std::string);
 
+// First byte of a window-layout checkpoint blob. Blobs written before
+// the layout was recorded hold one length-prefixed position blob per
+// island, so they start with island 0's length, which is at least 3
+// (its three counts): a first byte of 0 cannot be one of them.
+constexpr char kLayoutTag = 0;
+
 }  // namespace
 
 TaskPlan::TaskPlan(reservoir::Reservoir* reservoir, storage::DB* db)
@@ -440,8 +446,9 @@ void TaskPlan::GroupKeyOf(const Event& event, const GroupNode& group,
 }
 
 void TaskPlan::SaveWindowPositions(std::string* blob) const {
-  // Layout: next metric id | island count | per island: query count,
-  // (statement, first metric id) per query, edge positions.
+  // Layout: tag | next metric id | island count | per island: query
+  // count, (statement, first metric id) per query, edge positions.
+  blob->push_back(kLayoutTag);
   PutVarint64(blob, next_metric_id_);
   PutVarint32(blob, static_cast<uint32_t>(islands_.size()));
   std::string positions;
@@ -463,6 +470,21 @@ Status TaskPlan::RestoreWindowPositions(
     return Status::InvalidArgument("window positions restore into a used plan");
   }
   Slice in(blob);
+  if (in.empty() || in[0] != kLayoutTag) {
+    // A blob without the layout is restored the way it was written: by
+    // island index, with every query in island 0. Positions of any
+    // later island are dropped (their queries share island 0's edges).
+    Island* island = islands_[0].get();
+    for (const auto& q : queries) {
+      RAILGUN_RETURN_IF_ERROR(AddQueryToIsland(q, island));
+    }
+    Slice positions;
+    if (!GetLengthPrefixedSlice(&in, &positions)) {
+      return Status::Corruption("window position blob too short");
+    }
+    return island->windows_mgr.RestorePositions(positions.ToString());
+  }
+  in.remove_prefix(1);
   uint64_t next_metric_id;
   uint32_t num_islands;
   if (!GetVarint64(&in, &next_metric_id) || !GetVarint32(&in, &num_islands) ||

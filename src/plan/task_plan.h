@@ -91,7 +91,10 @@ class TaskPlan {
   // island is re-created with its queries, looked up by statement text
   // in `queries`, under their recorded metric ids and without replay,
   // and its iterators are restored. A recorded query missing from
-  // `queries` is left out; its metric ids stay reserved.
+  // `queries` is left out; its metric ids stay reserved. A blob written
+  // before the layout was recorded restores by island index: every
+  // query goes into island 0, which resumes from the first position
+  // blob.
   Status RestoreWindowPositions(const std::string& blob,
                                 const std::vector<query::QueryDef>& queries);
 

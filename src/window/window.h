@@ -52,8 +52,11 @@ struct WindowSpec {
   // Iterator-sharing identities (paper §4.1.1: aligned windows share
   // iterators). Heads align when the leading edge offset (delay)
   // matches; tails align when the trailing edge offset (delay + size)
-  // matches.
-  Micros HeadOffset() const { return delay; }
+  // matches. A count window's head is always the newest event: it
+  // ignores `delayed by`.
+  Micros HeadOffset() const {
+    return kind == WindowKind::kCountSliding ? 0 : delay;
+  }
   Micros TailOffset() const { return delay + size; }
 };
 

@@ -33,8 +33,8 @@ WindowOperator* WindowManager::GetOrCreate(const WindowSpec& spec) {
       }
       break;
     case WindowKind::kCountSliding:
-      if (heads_.count(0) == 0) {
-        heads_[0] = reservoir_->NewIterator();
+      if (heads_.count(spec.HeadOffset()) == 0) {
+        heads_[spec.HeadOffset()] = reservoir_->NewIterator();
       }
       op->count_tail_ = reservoir_->NewIterator();
       break;
@@ -267,8 +267,8 @@ void WindowOperator::Collect(Micros now, const EdgeDeltas& deltas,
     case WindowKind::kInfinite:
       break;
     case WindowKind::kCountSliding: {
-      // Count windows have no delay, so their head is the offset-0 edge;
-      // the private tail expires whatever exceeds the newest `count`.
+      // The head is the offset-0 edge (HeadOffset ignores a delay); the
+      // private tail expires whatever exceeds the newest `count`.
       if (entered != nullptr) in_window_ += entered->size();
       uint64_t excess = in_window_ > spec_.count ? in_window_ - spec_.count : 0;
       DrainWhile(

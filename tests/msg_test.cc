@@ -565,42 +565,37 @@ void TwoMemberGroup(MessageBus* bus, std::string* owner0,
   *owner1 = a0[0].partition == 0 ? "c1" : "c0";
 }
 
+// Returns once two more parks than `parks_before` happened: with a
+// poller on each member, both have parked (each parks on its first empty
+// poll, then once per 10 ms slice).
+void WaitUntilBothParked(const MessageBus& bus, uint64_t parks_before) {
+  ASSERT_TRUE(Eventually(
+      [&] { return bus.poll_park_count() >= parks_before + 2; }));
+}
+
 TEST(TargetedWakeTest, ProducesWakeOnlyThePartitionOwner) {
   MessageBus bus(FastBus());
   std::string owner0, owner1;
   TwoMemberGroup(&bus, &owner0, &owner1);
+  const uint64_t parks = bus.poll_park_count();
   Poller p0(&bus, owner0), p1(&bus, owner1);
-  ASSERT_TRUE(Eventually([&] {
-    return bus.PollParkStatsOf(owner0).parks > 0 &&
-           bus.PollParkStatsOf(owner1).parks > 0;
-  }));
+  WaitUntilBothParked(bus, parks);
 
-  const uint64_t bus_wakes = bus.poll_wake_count();
-  const uint64_t owner_wakes = bus.PollParkStatsOf(owner0).wakes;
-  const MessageBus::ParkStats idle = bus.PollParkStatsOf(owner1);
-  const Micros start = MonotonicClock::Default()->NowMicros();
+  const uint64_t wakes = bus.poll_wake_count();
   constexpr size_t kMessages = 50;
   for (size_t k = 0; k < kMessages; ++k) {
-    // Each produce finds the owner parked again.
-    const uint64_t parks = bus.PollParkStatsOf(owner0).parks;
     ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", "m").ok());
     ASSERT_TRUE(Eventually([&] { return p0.received() == k + 1; }));
-    ASSERT_TRUE(
-        Eventually([&] { return bus.PollParkStatsOf(owner0).parks > parks; }));
   }
-  const Micros elapsed = MonotonicClock::Default()->NowMicros() - start;
 
-  // The idle owner was never notified; it only re-parked when its
-  // bounded park slice ran out.
-  const MessageBus::ParkStats after = bus.PollParkStatsOf(owner1);
-  EXPECT_EQ(after.wakes, idle.wakes);
-  EXPECT_LE(after.parks - idle.parks,
-            static_cast<uint64_t>(1 + elapsed / (10 * kMicrosPerMilli)));
+  // Only partition 0's owner watches it, so each produce signals at
+  // most one parked consumer; a broadcast would also signal the idle
+  // owner, parked throughout, about once per produce.
+  const uint64_t signalled = bus.poll_wake_count() - wakes;
+  EXPECT_GT(signalled, 0u);
+  EXPECT_LE(signalled, kMessages);
   EXPECT_EQ(p1.returns(), 0);
-  // Every notification went to the partition's owner.
-  EXPECT_GT(bus.poll_wake_count(), bus_wakes);
-  EXPECT_EQ(bus.poll_wake_count() - bus_wakes,
-            bus.PollParkStatsOf(owner0).wakes - owner_wakes);
+  EXPECT_EQ(p1.received(), 0u);
   EXPECT_EQ(p0.received(), kMessages);
 }
 
@@ -608,17 +603,16 @@ TEST(TargetedWakeTest, WakeConsumerInterruptsOnlyItsTargetRebalanceBoth) {
   MessageBus bus(FastBus());
   std::string owner0, owner1;
   TwoMemberGroup(&bus, &owner0, &owner1);
+  const uint64_t parks = bus.poll_park_count();
   Poller p0(&bus, "c0"), p1(&bus, "c1");
-  ASSERT_TRUE(Eventually([&] {
-    return bus.PollParkStatsOf("c0").parks > 0 &&
-           bus.PollParkStatsOf("c1").parks > 0;
-  }));
+  WaitUntilBothParked(bus, parks);
 
-  const uint64_t c1_wakes = bus.PollParkStatsOf("c1").wakes;
+  const uint64_t wakes = bus.poll_wake_count();
   ASSERT_TRUE(bus.WakeConsumer("c0").ok());
   ASSERT_TRUE(Eventually([&] { return p0.returns() == 1; }));
   EXPECT_EQ(p1.returns(), 0);
-  EXPECT_EQ(bus.PollParkStatsOf("c1").wakes, c1_wakes);
+  // Only c0's slot was signalled.
+  EXPECT_LE(bus.poll_wake_count() - wakes, 1u);
 
   // A rebalance concerns every member: both polls return.
   ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());

@@ -9,6 +9,7 @@
 #include "common/env.h"
 #include "engine/task_processor.h"
 #include "reservoir/reservoir.h"
+#include "storage/db.h"
 
 namespace railgun {
 namespace {
@@ -367,7 +368,9 @@ TEST_F(TaskProcessorRecoveryTest, MetricAddedAfterOpenRecoversItsWindows) {
     for (uint64_t i = 0; i < crash_at; ++i) {
       ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &reply).ok());
       replies->push_back(Render(reply));
-      if (i == kCheckpointAt) ASSERT_TRUE(proc.Checkpoint().ok());
+      if (i == kCheckpointAt) {
+        ASSERT_TRUE(proc.Checkpoint().ok());
+      }
     }
   };
   std::vector<std::string> clean, crashed;
@@ -379,6 +382,89 @@ TEST_F(TaskProcessorRecoveryTest, MetricAddedAfterOpenRecoversItsWindows) {
 
   // The restarted task gets the current stream definition.
   TaskProcessor proc(options_, dir_, with_metric, "payments.cardId");
+  ASSERT_TRUE(proc.Open().ok());
+  ASSERT_LE(proc.replay_offset(), kCheckpointAt + 1);
+  ReplyEnvelope reply;
+  for (uint64_t i = proc.replay_offset(); i < kEvents; ++i) {
+    ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &reply).ok());
+    if (i > kCheckpointAt) {
+      ASSERT_EQ(Render(reply), clean[i]) << "offset " << i;
+    }
+  }
+}
+
+// Rewrites a window-layout blob in the form checkpoints had before the
+// layout was recorded: one length-prefixed position blob per island.
+std::string WithoutLayout(const std::string& blob) {
+  Slice in(blob);
+  in.remove_prefix(1);  // Layout tag.
+  uint64_t next_metric_id;
+  uint32_t num_islands;
+  EXPECT_TRUE(GetVarint64(&in, &next_metric_id));
+  EXPECT_TRUE(GetVarint32(&in, &num_islands));
+  std::string legacy;
+  for (uint32_t i = 0; i < num_islands; ++i) {
+    uint32_t num_queries;
+    EXPECT_TRUE(GetVarint32(&in, &num_queries));
+    for (uint32_t k = 0; k < num_queries; ++k) {
+      Slice statement;
+      uint64_t first_metric_id;
+      EXPECT_TRUE(GetLengthPrefixedSlice(&in, &statement));
+      EXPECT_TRUE(GetVarint64(&in, &first_metric_id));
+    }
+    Slice positions;
+    EXPECT_TRUE(GetLengthPrefixedSlice(&in, &positions));
+    PutLengthPrefixedSlice(&legacy, positions);
+  }
+  EXPECT_TRUE(in.empty());
+  return legacy;
+}
+
+TEST_F(TaskProcessorRecoveryTest, CheckpointWithoutLayoutStillRecovers) {
+  // A task checkpointed before the island layout was recorded has only
+  // positions in __ckpt_winpos. Its queries were all planned when the
+  // task opened, so restoring by island index resumes them exactly.
+  stream_.queries = {
+      query::ParseQuery("SELECT count(*), sum(amount) FROM payments "
+                        "GROUP BY cardId OVER sliding 1 minute")
+          .value()};
+  constexpr uint64_t kEvents = 400;
+  constexpr uint64_t kCheckpointAt = 150;
+  constexpr uint64_t kCrashAt = 300;
+
+  std::vector<std::string> clean;
+  {
+    TaskProcessor proc(options_, dir_, stream_, "payments.cardId");
+    ASSERT_TRUE(proc.Open().ok());
+    ReplyEnvelope reply;
+    for (uint64_t i = 0; i < kCrashAt; ++i) {
+      ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &reply).ok());
+      clean.push_back(Render(reply));
+      if (i == kCheckpointAt) {
+        ASSERT_TRUE(proc.Checkpoint().ok());
+      }
+    }
+    for (uint64_t i = kCrashAt; i < kEvents; ++i) {
+      ReplyEnvelope later;
+      ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &later).ok());
+      clean.push_back(Render(later));
+    }
+  }  // Crash: no checkpoint after offset 150.
+
+  {
+    std::unique_ptr<storage::DB> ckpt;
+    ASSERT_TRUE(storage::DB::Open(options_.db, dir_ + "/ckpt", &ckpt).ok());
+    std::string blob;
+    ASSERT_TRUE(
+        ckpt->Get(storage::kDefaultColumnFamily, "__ckpt_winpos", &blob)
+            .ok());
+    ASSERT_TRUE(ckpt->Put(storage::kDefaultColumnFamily, "__ckpt_winpos",
+                          WithoutLayout(blob))
+                    .ok());
+    ASSERT_TRUE(ckpt->Flush().ok());
+  }
+
+  TaskProcessor proc(options_, dir_, stream_, "payments.cardId");
   ASSERT_TRUE(proc.Open().ok());
   ASSERT_LE(proc.replay_offset(), kCheckpointAt + 1);
   ReplyEnvelope reply;
@@ -416,10 +502,14 @@ TEST_F(TaskProcessorRecoveryTest, MetricAddedAfterCheckpointIsBackfilled) {
     ASSERT_TRUE(proc.Open().ok());
     ReplyEnvelope reply;
     for (uint64_t i = 0; i < crash_at; ++i) {
-      if (i == kSecondAt) ASSERT_TRUE(proc.SyncQueries(both).ok());
+      if (i == kSecondAt) {
+        ASSERT_TRUE(proc.SyncQueries(both).ok());
+      }
       ASSERT_TRUE(proc.ProcessMessage(CardMessage(i), &reply).ok());
       replies->push_back(Render(reply));
-      if (i == kCheckpointAt) ASSERT_TRUE(proc.Checkpoint().ok());
+      if (i == kCheckpointAt) {
+        ASSERT_TRUE(proc.Checkpoint().ok());
+      }
     }
   };
   std::vector<std::string> clean, crashed;

@@ -2,6 +2,7 @@
 // iterator sharing across aligned windows (paper §4.1.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/env.h"
@@ -168,6 +169,31 @@ TEST_F(WindowOperatorTest, CountSlidingWindowKeepsExactlyN) {
     if (i >= 2) {
       EXPECT_EQ(in_window, 3);
     }
+  }
+}
+
+TEST_F(WindowOperatorTest, DelayedCountWindowUsesTheNewestEvents) {
+  // The parser accepts `sliding N events delayed by D`; a count window
+  // ignores the delay. A delayed time window with the same delay must
+  // not lend it its head edge.
+  WindowSpec delayed_count = WindowSpec::CountSliding(3);
+  delayed_count.delay = 5 * kMicrosPerSecond;
+  manager_->GetOrCreate(
+      WindowSpec::Sliding(kMicrosPerMinute, 5 * kMicrosPerSecond));
+  WindowOperator* op = manager_->GetOrCreate(delayed_count);
+  int64_t in_window = 0;
+  for (int i = 0; i < 10; ++i) {
+    const uint64_t id = static_cast<uint64_t>(i + 1);
+    const WindowDelta delta = Step(op, i * kMicrosPerSecond, id);
+    ASSERT_EQ(delta.entered.size(), 1u) << i;
+    EXPECT_EQ(delta.entered[0]->id, id);
+    if (i >= 3) {
+      ASSERT_EQ(delta.expired.size(), 1u) << i;
+      EXPECT_EQ(delta.expired[0]->id, id - 3);
+    }
+    in_window += static_cast<int64_t>(delta.entered.size()) -
+                 static_cast<int64_t>(delta.expired.size());
+    EXPECT_EQ(in_window, std::min<int64_t>(i + 1, 3)) << i;
   }
 }
 
