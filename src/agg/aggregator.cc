@@ -9,7 +9,6 @@
 
 namespace railgun::agg {
 
-using reservoir::Event;
 using reservoir::FieldValue;
 
 StatusOr<AggKind> ParseAggKind(const std::string& name) {
@@ -42,47 +41,23 @@ const char* AggKindName(AggKind kind) {
   return "?";
 }
 
-Status Aggregator::EnterColumn(const double* values, const uint64_t* offsets,
-                               size_t n, std::string* state,
-                               AggContext* ctx) {
-  Event event;
-  for (size_t i = 0; i < n; ++i) {
-    event.offset = offsets[i];
-    RAILGUN_RETURN_IF_ERROR(Enter(FieldValue(values[i]), event, state, ctx));
-  }
-  return Status::OK();
-}
-
-Status Aggregator::ExpireColumn(const double* values, const uint64_t* offsets,
-                                size_t n, std::string* state,
-                                AggContext* ctx) {
-  Event event;
-  for (size_t i = 0; i < n; ++i) {
-    event.offset = offsets[i];
-    RAILGUN_RETURN_IF_ERROR(Expire(FieldValue(values[i]), event, state, ctx));
-  }
-  return Status::OK();
-}
-
 namespace {
+
+double RunSum(const FieldValue* values, size_t n) {
+  double sum = 0;
+  for (size_t i = 0; i < n; ++i) sum += values[i].ToNumber();
+  return sum;
+}
 
 // -------------------------------------------------------- count
 class CountAggregator : public Aggregator {
  public:
-  Status Enter(const FieldValue&, const Event&, std::string* state,
-               AggContext*) override {
-    return Bump(state, +1);
-  }
-  Status Expire(const FieldValue&, const Event&, std::string* state,
-                AggContext*) override {
-    return Bump(state, -1);
-  }
-  Status EnterColumn(const double*, const uint64_t*, size_t n,
-                     std::string* state, AggContext*) override {
+  Status Enter(const FieldValue*, const uint64_t*, size_t n,
+               std::string* state, AggContext*) override {
     return Bump(state, static_cast<int64_t>(n));
   }
-  Status ExpireColumn(const double*, const uint64_t*, size_t n,
-                      std::string* state, AggContext*) override {
+  Status Expire(const FieldValue*, const uint64_t*, size_t n,
+                std::string* state, AggContext*) override {
     return Bump(state, -static_cast<int64_t>(n));
   }
   StatusOr<FieldValue> Result(const std::string& state) const override {
@@ -110,21 +85,13 @@ class CountAggregator : public Aggregator {
 // -------------------------------------------------------- sum
 class SumAggregator : public Aggregator {
  public:
-  Status Enter(const FieldValue& v, const Event&, std::string* state,
-               AggContext*) override {
-    return Bump(state, v.ToNumber());
+  Status Enter(const FieldValue* values, const uint64_t*, size_t n,
+               std::string* state, AggContext*) override {
+    return Bump(state, RunSum(values, n));
   }
-  Status Expire(const FieldValue& v, const Event&, std::string* state,
-                AggContext*) override {
-    return Bump(state, -v.ToNumber());
-  }
-  Status EnterColumn(const double* values, const uint64_t*, size_t n,
-                     std::string* state, AggContext*) override {
-    return Bump(state, ColumnSum(values, n));
-  }
-  Status ExpireColumn(const double* values, const uint64_t*, size_t n,
-                      std::string* state, AggContext*) override {
-    return Bump(state, -ColumnSum(values, n));
+  Status Expire(const FieldValue* values, const uint64_t*, size_t n,
+                std::string* state, AggContext*) override {
+    return Bump(state, -RunSum(values, n));
   }
   StatusOr<FieldValue> Result(const std::string& state) const override {
     double sum = 0;
@@ -136,11 +103,6 @@ class SumAggregator : public Aggregator {
   }
 
  private:
-  static double ColumnSum(const double* values, size_t n) {
-    double sum = 0;
-    for (size_t i = 0; i < n; ++i) sum += values[i];
-    return sum;
-  }
   static Status Bump(std::string* state, double delta) {
     double sum = 0;
     if (!state->empty()) {
@@ -156,25 +118,13 @@ class SumAggregator : public Aggregator {
 // -------------------------------------------------------- avg
 class AvgAggregator : public Aggregator {
  public:
-  Status Enter(const FieldValue& v, const Event&, std::string* state,
-               AggContext*) override {
-    return Bump(state, v.ToNumber(), +1);
+  Status Enter(const FieldValue* values, const uint64_t*, size_t n,
+               std::string* state, AggContext*) override {
+    return Bump(state, RunSum(values, n), static_cast<int64_t>(n));
   }
-  Status Expire(const FieldValue& v, const Event&, std::string* state,
-                AggContext*) override {
-    return Bump(state, -v.ToNumber(), -1);
-  }
-  Status EnterColumn(const double* values, const uint64_t*, size_t n,
-                     std::string* state, AggContext*) override {
-    double acc = 0;
-    for (size_t i = 0; i < n; ++i) acc += values[i];
-    return Bump(state, acc, static_cast<int64_t>(n));
-  }
-  Status ExpireColumn(const double* values, const uint64_t*, size_t n,
-                      std::string* state, AggContext*) override {
-    double acc = 0;
-    for (size_t i = 0; i < n; ++i) acc += values[i];
-    return Bump(state, -acc, -static_cast<int64_t>(n));
+  Status Expire(const FieldValue* values, const uint64_t*, size_t n,
+                std::string* state, AggContext*) override {
+    return Bump(state, -RunSum(values, n), -static_cast<int64_t>(n));
   }
   StatusOr<FieldValue> Result(const std::string& state) const override {
     double sum = 0;
@@ -212,46 +162,13 @@ class AvgAggregator : public Aggregator {
 // update, which is numerically acceptable for the window sizes involved.
 class StdDevAggregator : public Aggregator {
  public:
-  Status Enter(const FieldValue& v, const Event&, std::string* state,
-               AggContext*) override {
-    int64_t n;
-    double mean, m2;
-    RAILGUN_RETURN_IF_ERROR(Parse(*state, &n, &mean, &m2));
-    const double x = v.ToNumber();
-    ++n;
-    const double delta = x - mean;
-    mean += delta / static_cast<double>(n);
-    m2 += delta * (x - mean);
-    Store(state, n, mean, m2);
-    return Status::OK();
-  }
-  Status Expire(const FieldValue& v, const Event&, std::string* state,
-                AggContext*) override {
-    int64_t n;
-    double mean, m2;
-    RAILGUN_RETURN_IF_ERROR(Parse(*state, &n, &mean, &m2));
-    const double x = v.ToNumber();
-    if (n <= 1) {
-      Store(state, 0, 0, 0);
-      return Status::OK();
-    }
-    // Inverse Welford step.
-    const double mean_prev =
-        (static_cast<double>(n) * mean - x) / static_cast<double>(n - 1);
-    m2 -= (x - mean) * (x - mean_prev);
-    if (m2 < 0) m2 = 0;  // Guard against rounding drift.
-    Store(state, n - 1, mean_prev, m2);
-    return Status::OK();
-  }
-  // Welford updates run entirely in registers; the state round-trips
-  // through the blob once per run instead of once per event.
-  Status EnterColumn(const double* values, const uint64_t*, size_t count,
-                     std::string* state, AggContext*) override {
+  Status Enter(const FieldValue* values, const uint64_t*, size_t count,
+               std::string* state, AggContext*) override {
     int64_t n;
     double mean, m2;
     RAILGUN_RETURN_IF_ERROR(Parse(*state, &n, &mean, &m2));
     for (size_t i = 0; i < count; ++i) {
-      const double x = values[i];
+      const double x = values[i].ToNumber();
       ++n;
       const double delta = x - mean;
       mean += delta / static_cast<double>(n);
@@ -260,23 +177,24 @@ class StdDevAggregator : public Aggregator {
     Store(state, n, mean, m2);
     return Status::OK();
   }
-  Status ExpireColumn(const double* values, const uint64_t*, size_t count,
-                      std::string* state, AggContext*) override {
+  Status Expire(const FieldValue* values, const uint64_t*, size_t count,
+                std::string* state, AggContext*) override {
     int64_t n;
     double mean, m2;
     RAILGUN_RETURN_IF_ERROR(Parse(*state, &n, &mean, &m2));
     for (size_t i = 0; i < count; ++i) {
-      const double x = values[i];
+      const double x = values[i].ToNumber();
       if (n <= 1) {
         n = 0;
         mean = 0;
         m2 = 0;
         continue;
       }
+      // Inverse Welford step.
       const double mean_prev =
           (static_cast<double>(n) * mean - x) / static_cast<double>(n - 1);
       m2 -= (x - mean) * (x - mean_prev);
-      if (m2 < 0) m2 = 0;
+      if (m2 < 0) m2 = 0;  // Guard against rounding drift.
       mean = mean_prev;
       --n;
     }
@@ -322,40 +240,20 @@ class ExtremumAggregator : public Aggregator {
  public:
   explicit ExtremumAggregator(bool is_max) : is_max_(is_max) {}
 
-  Status Enter(const FieldValue& v, const Event& e, std::string* state,
-               AggContext*) override {
-    std::deque<Entry> dq;
-    RAILGUN_RETURN_IF_ERROR(Parse(*state, &dq));
-    const double x = v.ToNumber();
-    while (!dq.empty() && Dominates(x, dq.back().value)) dq.pop_back();
-    dq.push_back({x, e.offset});
-    Store(state, dq);
-    return Status::OK();
-  }
-  Status Expire(const FieldValue&, const Event& e, std::string* state,
-                AggContext*) override {
-    std::deque<Entry> dq;
-    RAILGUN_RETURN_IF_ERROR(Parse(*state, &dq));
-    if (!dq.empty() && dq.front().offset == e.offset) dq.pop_front();
-    Store(state, dq);
-    return Status::OK();
-  }
-  // Parse the deque once, run every push/pop against it in memory,
-  // serialize once.
-  Status EnterColumn(const double* values, const uint64_t* offsets,
-                     size_t n, std::string* state, AggContext*) override {
+  Status Enter(const FieldValue* values, const uint64_t* offsets, size_t n,
+               std::string* state, AggContext*) override {
     std::deque<Entry> dq;
     RAILGUN_RETURN_IF_ERROR(Parse(*state, &dq));
     for (size_t i = 0; i < n; ++i) {
-      const double x = values[i];
+      const double x = values[i].ToNumber();
       while (!dq.empty() && Dominates(x, dq.back().value)) dq.pop_back();
       dq.push_back({x, offsets[i]});
     }
     Store(state, dq);
     return Status::OK();
   }
-  Status ExpireColumn(const double*, const uint64_t* offsets, size_t n,
-                      std::string* state, AggContext*) override {
+  Status Expire(const FieldValue*, const uint64_t* offsets, size_t n,
+                std::string* state, AggContext*) override {
     std::deque<Entry> dq;
     RAILGUN_RETURN_IF_ERROR(Parse(*state, &dq));
     for (size_t i = 0; i < n; ++i) {
@@ -412,22 +310,24 @@ class LastPrevAggregator : public Aggregator {
  public:
   explicit LastPrevAggregator(bool prev) : prev_(prev) {}
 
-  Status Enter(const FieldValue& v, const Event&, std::string* state,
-               AggContext*) override {
+  Status Enter(const FieldValue* values, const uint64_t*, size_t n,
+               std::string* state, AggContext*) override {
     double last = 0, prev = 0;
-    uint32_t n = 0;
-    RAILGUN_RETURN_IF_ERROR(Parse(*state, &n, &last, &prev));
-    prev = last;
-    last = v.ToNumber();
-    n = std::min<uint32_t>(n + 1, 2);
+    uint32_t count = 0;
+    RAILGUN_RETURN_IF_ERROR(Parse(*state, &count, &last, &prev));
+    for (size_t i = 0; i < n; ++i) {
+      prev = last;
+      last = values[i].ToNumber();
+    }
+    count = static_cast<uint32_t>(std::min<size_t>(count + n, 2));
     state->clear();
-    PutVarint32(state, n);
+    PutVarint32(state, count);
     PutDouble(state, last);
     PutDouble(state, prev);
     return Status::OK();
   }
   // `last`/`prev` track arrival recency, not window membership.
-  Status Expire(const FieldValue&, const Event&, std::string*,
+  Status Expire(const FieldValue*, const uint64_t*, size_t, std::string*,
                 AggContext*) override {
     return Status::OK();
   }
@@ -463,49 +363,57 @@ class LastPrevAggregator : public Aggregator {
 // RocksDB to hold the counts").
 class CountDistinctAggregator : public Aggregator {
  public:
-  Status Enter(const FieldValue& v, const Event&, std::string* state,
-               AggContext* ctx) override {
-    if (ctx == nullptr || ctx->db == nullptr) {
-      return Status::InvalidArgument("countDistinct needs an AggContext");
-    }
-    const std::string aux_key = ctx->aux_key_prefix + v.ToString();
-    int64_t refs = 0;
+  Status Enter(const FieldValue* values, const uint64_t*, size_t n,
+               std::string* state, AggContext* ctx) override {
+    RAILGUN_RETURN_IF_ERROR(CheckContext(ctx));
+    std::string aux_key = ctx->aux_key_prefix;
     std::string stored;
-    Status s = ctx->db->Get(ctx->aux_cf, aux_key, &stored);
-    if (s.ok()) {
+    int64_t added = 0;
+    for (size_t i = 0; i < n; ++i) {
+      aux_key.resize(ctx->aux_key_prefix.size());
+      aux_key += values[i].ToString();
+      int64_t refs = 0;
+      Status s = ctx->db->Get(ctx->aux_cf, aux_key, &stored);
+      if (s.ok()) {
+        Slice in(stored);
+        if (!GetVarsint64(&in, &refs)) return Status::Corruption("aux state");
+      } else if (!s.IsNotFound()) {
+        return s;
+      }
+      ++refs;
+      stored.clear();
+      PutVarsint64(&stored, refs);
+      RAILGUN_RETURN_IF_ERROR(ctx->db->Put(ctx->aux_cf, aux_key, stored));
+      if (refs == 1) ++added;
+    }
+    return added == 0 ? Status::OK() : BumpDistinct(state, added);
+  }
+  Status Expire(const FieldValue* values, const uint64_t*, size_t n,
+                std::string* state, AggContext* ctx) override {
+    RAILGUN_RETURN_IF_ERROR(CheckContext(ctx));
+    std::string aux_key = ctx->aux_key_prefix;
+    std::string stored;
+    int64_t removed = 0;
+    for (size_t i = 0; i < n; ++i) {
+      aux_key.resize(ctx->aux_key_prefix.size());
+      aux_key += values[i].ToString();
+      Status s = ctx->db->Get(ctx->aux_cf, aux_key, &stored);
+      if (s.IsNotFound()) continue;  // Never entered (reset?).
+      RAILGUN_RETURN_IF_ERROR(s);
+      int64_t refs = 0;
       Slice in(stored);
       if (!GetVarsint64(&in, &refs)) return Status::Corruption("aux state");
-    } else if (!s.IsNotFound()) {
-      return s;
+      --refs;
+      if (refs <= 0) {
+        RAILGUN_RETURN_IF_ERROR(ctx->db->Delete(ctx->aux_cf, aux_key));
+        ++removed;
+        continue;
+      }
+      stored.clear();
+      PutVarsint64(&stored, refs);
+      RAILGUN_RETURN_IF_ERROR(ctx->db->Put(ctx->aux_cf, aux_key, stored));
     }
-    ++refs;
-    stored.clear();
-    PutVarsint64(&stored, refs);
-    RAILGUN_RETURN_IF_ERROR(ctx->db->Put(ctx->aux_cf, aux_key, stored));
-    if (refs == 1) return BumpDistinct(state, +1);
-    return Status::OK();
-  }
-  Status Expire(const FieldValue& v, const Event&, std::string* state,
-                AggContext* ctx) override {
-    if (ctx == nullptr || ctx->db == nullptr) {
-      return Status::InvalidArgument("countDistinct needs an AggContext");
-    }
-    const std::string aux_key = ctx->aux_key_prefix + v.ToString();
-    std::string stored;
-    Status s = ctx->db->Get(ctx->aux_cf, aux_key, &stored);
-    if (s.IsNotFound()) return Status::OK();  // Never entered (reset?).
-    RAILGUN_RETURN_IF_ERROR(s);
-    int64_t refs = 0;
-    Slice in(stored);
-    if (!GetVarsint64(&in, &refs)) return Status::Corruption("aux state");
-    --refs;
-    if (refs <= 0) {
-      RAILGUN_RETURN_IF_ERROR(ctx->db->Delete(ctx->aux_cf, aux_key));
-      return BumpDistinct(state, -1);
-    }
-    stored.clear();
-    PutVarsint64(&stored, refs);
-    return ctx->db->Put(ctx->aux_cf, aux_key, stored);
+    return removed == 0 ? Status::OK() : BumpDistinct(state, -removed);
   }
   StatusOr<FieldValue> Result(const std::string& state) const override {
     int64_t n = 0;
@@ -519,6 +427,12 @@ class CountDistinctAggregator : public Aggregator {
   }
 
  private:
+  static Status CheckContext(const AggContext* ctx) {
+    if (ctx == nullptr || ctx->db == nullptr) {
+      return Status::InvalidArgument("countDistinct needs an AggContext");
+    }
+    return Status::OK();
+  }
   static Status BumpDistinct(std::string* state, int64_t delta) {
     int64_t n = 0;
     if (!state->empty()) {

@@ -4,6 +4,12 @@
 // (sum, count) pair, stdDev the Welford triple, max/min a monotonic
 // deque, and countDistinct per-value counts in an auxiliary column
 // family of the state store.
+//
+// Updates arrive as runs: one Enter or Expire call applies n >= 1
+// values of one entity in arrival order, parsing the state once,
+// updating it in registers and serializing it once. A run of n values
+// yields the same result as n one-value runs, except that sum and avg
+// add a run's total in one step and so may round differently.
 #ifndef RAILGUN_AGG_AGGREGATOR_H_
 #define RAILGUN_AGG_AGGREGATOR_H_
 
@@ -47,29 +53,20 @@ class Aggregator {
 
   static std::unique_ptr<Aggregator> Create(AggKind kind);
 
-  // Applies an entering value. `event` supplies ordering metadata
-  // (offset) needed by deque-based aggregators.
-  virtual Status Enter(const reservoir::FieldValue& value,
-                       const reservoir::Event& event, std::string* state,
+  // Applies a run of `n` >= 1 entering values, oldest first.
+  // `offsets[i]` places `values[i]` in its stream (a log offset, or any
+  // increasing sequence number); deque-based aggregators key expiry on
+  // it. Values are FieldValues rather than numbers because
+  // countDistinct aggregates value identity.
+  virtual Status Enter(const reservoir::FieldValue* values,
+                       const uint64_t* offsets, size_t n, std::string* state,
                        AggContext* ctx) = 0;
 
-  // Applies an expiring value.
-  virtual Status Expire(const reservoir::FieldValue& value,
-                        const reservoir::Event& event, std::string* state,
+  // Applies a run of `n` >= 1 expiring values, oldest first, each with
+  // the offset it entered under.
+  virtual Status Expire(const reservoir::FieldValue* values,
+                        const uint64_t* offsets, size_t n, std::string* state,
                         AggContext* ctx) = 0;
-
-  // Columnar fast path: applies `n` entering values in one call, with
-  // `offsets[i]` supplying the ordering metadata Enter() reads from the
-  // event. Equivalent to n scalar Enter() calls; numeric aggregators
-  // override with a parse-once / tight-loop / store-once implementation
-  // so a batched caller pays one state (de)serialization per run instead
-  // of one per event. The default is the scalar loop.
-  virtual Status EnterColumn(const double* values, const uint64_t* offsets,
-                             size_t n, std::string* state, AggContext* ctx);
-
-  // Columnar expiry, mirror of EnterColumn.
-  virtual Status ExpireColumn(const double* values, const uint64_t* offsets,
-                              size_t n, std::string* state, AggContext* ctx);
 
   // Produces the current aggregation result from the state.
   virtual StatusOr<reservoir::FieldValue> Result(

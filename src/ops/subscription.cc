@@ -195,26 +195,26 @@ void SubscriptionHub::HandleEvent(Subscription* sub,
       group.agg_states.resize(sub->aggs.size());
     }
     agg::AggContext agg_ctx;
-    std::vector<reservoir::FieldValue> entered;
-    entered.reserve(sub->aggs.size());
+    EnteredRow entered{group.next_seq++, {}};
+    entered.values.reserve(sub->aggs.size());
     for (size_t i = 0; i < sub->aggs.size(); ++i) {
       const int index = sub->agg_field_indices[i];
-      reservoir::FieldValue value =
-          index >= 0 ? event.values[index]
-                     : reservoir::FieldValue(int64_t{1});
+      entered.values.push_back(index >= 0 ? event.values[index]
+                                          : reservoir::FieldValue(int64_t{1}));
       if (!sub->aggs[i]
-               ->Enter(value, event, &group.agg_states[i], &agg_ctx)
+               ->Enter(&entered.values[i], &entered.seq, 1,
+                       &group.agg_states[i], &agg_ctx)
                .ok()) {
         decode_errors_->Add(1);
         return;
       }
-      entered.push_back(std::move(value));
     }
     if (sub->spec.query.window.kind == window::WindowKind::kCountSliding) {
       group.recent.push_back(std::move(entered));
       while (group.recent.size() > sub->spec.query.window.count) {
+        const EnteredRow& oldest = group.recent.front();
         for (size_t i = 0; i < sub->aggs.size(); ++i) {
-          (void)sub->aggs[i]->Expire(group.recent.front()[i], event,
+          (void)sub->aggs[i]->Expire(&oldest.values[i], &oldest.seq, 1,
                                      &group.agg_states[i], &agg_ctx);
         }
         group.recent.pop_front();

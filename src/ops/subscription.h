@@ -99,11 +99,21 @@ class SubscriptionHub {
   size_t TotalQueueDepth() const;
 
  private:
+  // One event's aggregated values (parallel to the agg list), entered
+  // under the group's arrival sequence number `seq`.
+  struct EnteredRow {
+    uint64_t seq;
+    std::vector<reservoir::FieldValue> values;
+  };
+
   struct GroupState {
     std::vector<std::string> agg_states;  // One blob per AggSpec.
-    // Count-sliding windows: entered values pending expiry, one row per
-    // event (inner vector parallel to the agg list).
-    std::deque<std::vector<reservoir::FieldValue>> recent;
+    // Sequence number of the group's next event, the offset its values
+    // enter under. Bus offsets cannot order a group: it can span
+    // partitions.
+    uint64_t next_seq = 0;
+    // Count-sliding windows: entered rows pending expiry, oldest first.
+    std::deque<EnteredRow> recent;
   };
 
   struct Subscription {

@@ -227,8 +227,8 @@ Status TaskPlan::ApplyDelta(const WindowDelta& delta, WindowNode* node) {
       node->spec.kind == WindowKind::kTumbling ? delta.epoch : 0;
   for (auto& fnode : node->filters) {
     // Evaluate the filter once per event, then hand each group node the
-    // accepted run so same-group stretches collapse into columnar
-    // aggregator calls.
+    // accepted list so same-group stretches collapse into one aggregator
+    // call per leaf.
     scratch_filtered_.clear();
     for (const Event* e : delta.entered) {
       if (fnode.expr != nullptr && !fnode.expr->EvalBool(*e)) continue;
@@ -256,6 +256,8 @@ Status TaskPlan::ApplyDelta(const WindowDelta& delta, WindowNode* node) {
 Status TaskPlan::ApplyEventRun(const std::vector<const Event*>& events,
                                bool entering, Micros epoch,
                                GroupNode* gnode) {
+  static const FieldValue kOne(int64_t{1});
+  agg::AggContext ctx{db_, aux_cf_, {}};
   scratch_slot_.epoch = epoch;
   size_t i = 0;
   while (i < events.size()) {
@@ -269,76 +271,35 @@ Status TaskPlan::ApplyEventRun(const std::vector<const Event*>& events,
     RAILGUN_ASSIGN_OR_RETURN(StateEntry * entry,
                              FindStates(scratch_slot_, gnode));
     const size_t n = j - i;
-    if (n == 1) {
-      // Single-event runs take the scalar path; the columnar machinery
-      // only pays off when a state update is amortized over >1 event.
-      for (size_t k = 0; k < gnode->metrics.size(); ++k) {
-        RAILGUN_RETURN_IF_ERROR(ApplyEventToLeaf(*events[i], entering,
-                                                 scratch_slot_, k, gnode,
-                                                 entry));
-      }
-      i = j;
-      continue;
-    }
     scratch_offsets_.clear();
     for (size_t r = i; r < j; ++r) {
       scratch_offsets_.push_back(events[r]->offset);
     }
+    scratch_values_.resize(n);
     for (size_t k = 0; k < gnode->metrics.size(); ++k) {
       const MetricLeaf& leaf = gnode->metrics[k];
-      // countDistinct aggregates value *identity* (string keys in the
-      // aux column family), which the double column cannot carry.
+      for (size_t r = 0; r < n; ++r) {
+        scratch_values_[r] = leaf.field_index >= 0
+                                 ? events[i + r]->values[leaf.field_index]
+                                 : kOne;
+      }
       if (leaf.kind == agg::AggKind::kCountDistinct) {
-        for (size_t r = i; r < j; ++r) {
-          RAILGUN_RETURN_IF_ERROR(ApplyEventToLeaf(*events[r], entering,
-                                                   scratch_slot_, k, gnode,
-                                                   entry));
-        }
-        continue;
+        ctx.aux_key_prefix =
+            StateKey(leaf.metric_id, epoch, scratch_slot_.group_key) + "|";
       }
-      scratch_values_.clear();
-      for (size_t r = i; r < j; ++r) {
-        scratch_values_.push_back(
-            leaf.field_index >= 0
-                ? events[r]->values[leaf.field_index].ToNumber()
-                : 1.0);
-      }
-      // Only countDistinct reads the aggregation context.
       scratch_state_ = entry->states[k];
       const Status update =
-          entering ? leaf.aggregator->EnterColumn(scratch_values_.data(),
-                                                  scratch_offsets_.data(), n,
-                                                  &scratch_state_, nullptr)
-                   : leaf.aggregator->ExpireColumn(scratch_values_.data(),
-                                                   scratch_offsets_.data(), n,
-                                                   &scratch_state_, nullptr);
+          entering ? leaf.aggregator->Enter(scratch_values_.data(),
+                                            scratch_offsets_.data(), n,
+                                            &scratch_state_, &ctx)
+                   : leaf.aggregator->Expire(scratch_values_.data(),
+                                             scratch_offsets_.data(), n,
+                                             &scratch_state_, &ctx);
       RAILGUN_RETURN_IF_ERROR(CommitState(update, k, entry));
     }
     i = j;
   }
   return Status::OK();
-}
-
-Status TaskPlan::ApplyEventToLeaf(const Event& event, bool entering,
-                                  const StateSlot& slot, size_t leaf_index,
-                                  GroupNode* gnode, StateEntry* entry) {
-  static const FieldValue kOne(int64_t{1});
-  const MetricLeaf& leaf = gnode->metrics[leaf_index];
-  const FieldValue& value =
-      leaf.field_index >= 0 ? event.values[leaf.field_index] : kOne;
-
-  agg::AggContext ctx;
-  if (leaf.kind == agg::AggKind::kCountDistinct) {
-    ctx.db = db_;
-    ctx.aux_cf = aux_cf_;
-    ctx.aux_key_prefix =
-        StateKey(leaf.metric_id, slot.epoch, slot.group_key) + "|";
-  }
-  scratch_state_ = entry->states[leaf_index];
-  const Status update =
-      entering ? leaf.aggregator->Enter(value, event, &scratch_state_, &ctx)
-               : leaf.aggregator->Expire(value, event, &scratch_state_, &ctx);
-  return CommitState(update, leaf_index, entry);
 }
 
 StatusOr<TaskPlan::StateEntry*> TaskPlan::FindStates(const StateSlot& slot,

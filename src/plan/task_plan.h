@@ -186,14 +186,11 @@ class TaskPlan {
   Status ProcessEventInIsland(const reservoir::Event& event, Island* island,
                               std::vector<MetricResult>* results);
   Status ApplyDelta(const window::WindowDelta& delta, WindowNode* node);
-  // Applies a filter-accepted event list to one group node, batching
-  // runs of consecutive events with the same group key into columnar
-  // EnterColumn/ExpireColumn calls (one state Get/Put per run per leaf).
+  // Applies a filter-accepted event list to one group node: each run of
+  // consecutive events with the same group key is one Enter or Expire
+  // call per leaf on that entity's table entry.
   Status ApplyEventRun(const std::vector<const reservoir::Event*>& events,
                        bool entering, Micros epoch, GroupNode* gnode);
-  Status ApplyEventToLeaf(const reservoir::Event& event, bool entering,
-                          const StateSlot& slot, size_t leaf_index,
-                          GroupNode* gnode, StateEntry* entry);
 
   // Returns gnode's table entry for `slot`, loading every leaf's state
   // from the DB on a miss.
@@ -226,7 +223,7 @@ class TaskPlan {
 
   // Delta-application scratch, reused across events/batches.
   std::vector<const reservoir::Event*> scratch_filtered_;
-  std::vector<double> scratch_values_;
+  std::vector<reservoir::FieldValue> scratch_values_;
   std::vector<uint64_t> scratch_offsets_;
   StateSlot scratch_slot_;
   std::string scratch_key_;

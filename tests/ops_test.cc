@@ -596,6 +596,30 @@ TEST_F(HubTest, RestartInvalidatesIdsWithoutRedeliveringAckedRecords) {
   EXPECT_DOUBLE_EQ(fields["amount"].ToNumber(), 30.0);
 }
 
+TEST_F(HubTest, CountWindowMaxMinExpireTheOldestValue) {
+  SubscriptionHub hub(&bus_, Lookup(), nullptr);
+  auto created = hub.Create(
+      "SUBSCRIBE SELECT max(amount), min(amount) FROM payments "
+      "GROUP BY cardId OVER sliding 2 events");
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+
+  const double amounts[] = {3, 5, 4, 1};
+  for (uint64_t i = 0; i < 4; ++i) Publish(i + 1, "c1", amounts[i]);
+  const std::vector<SubRecord> records =
+      FetchAtLeast(&hub, created.value(), 4);
+  ASSERT_EQ(records.size(), 4u);
+
+  // Windows {3}, {3,5}, {5,4}, {4,1}.
+  const double want_max[] = {3, 5, 5, 4};
+  const double want_min[] = {3, 3, 4, 1};
+  for (size_t i = 0; i < 4; ++i) {
+    std::map<std::string, FieldValue> fields(records[i].fields.begin(),
+                                             records[i].fields.end());
+    EXPECT_EQ(fields["max(amount)"].ToNumber(), want_max[i]) << "row " << i;
+    EXPECT_EQ(fields["min(amount)"].ToNumber(), want_min[i]) << "row " << i;
+  }
+}
+
 TEST_F(HubTest, WireHandlerServesCreateFetchCancel) {
   SubscriptionHub hub(&bus_, Lookup(), nullptr);
 
