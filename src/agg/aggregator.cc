@@ -235,17 +235,28 @@ class StdDevAggregator : public Aggregator {
 
 // -------------------------------------------------------- max / min
 // Monotonic deque of (value, event offset): O(1) amortized enter/expire,
-// exact under expiry (paper stores "a deque structure [30]").
+// exact under expiry (paper stores "a deque structure [30]"). Where
+// values never expire, only the front can ever be the result, so the
+// deque holds at most that one entry (an older, longer state collapses
+// to its front on the next Enter).
 class ExtremumAggregator : public Aggregator {
  public:
-  explicit ExtremumAggregator(bool is_max) : is_max_(is_max) {}
+  ExtremumAggregator(bool is_max, bool values_expire)
+      : is_max_(is_max), values_expire_(values_expire) {}
 
   Status Enter(const FieldValue* values, const uint64_t* offsets, size_t n,
                std::string* state, AggContext*) override {
     std::deque<Entry> dq;
     RAILGUN_RETURN_IF_ERROR(Parse(*state, &dq));
+    if (!values_expire_ && dq.size() > 1) dq.resize(1);
     for (size_t i = 0; i < n; ++i) {
       const double x = values[i].ToNumber();
+      if (!values_expire_) {
+        if (dq.empty() || Dominates(x, dq.front().value)) {
+          dq.assign(1, {x, offsets[i]});
+        }
+        continue;
+      }
       while (!dq.empty() && Dominates(x, dq.back().value)) dq.pop_back();
       dq.push_back({x, offsets[i]});
     }
@@ -303,6 +314,7 @@ class ExtremumAggregator : public Aggregator {
     }
   }
   const bool is_max_;
+  const bool values_expire_;
 };
 
 // -------------------------------------------------------- last / prev
@@ -449,7 +461,8 @@ class CountDistinctAggregator : public Aggregator {
 
 }  // namespace
 
-std::unique_ptr<Aggregator> Aggregator::Create(AggKind kind) {
+std::unique_ptr<Aggregator> Aggregator::Create(AggKind kind,
+                                               bool values_expire) {
   switch (kind) {
     case AggKind::kCount:
       return std::make_unique<CountAggregator>();
@@ -460,9 +473,11 @@ std::unique_ptr<Aggregator> Aggregator::Create(AggKind kind) {
     case AggKind::kStdDev:
       return std::make_unique<StdDevAggregator>();
     case AggKind::kMax:
-      return std::make_unique<ExtremumAggregator>(/*is_max=*/true);
+      return std::make_unique<ExtremumAggregator>(/*is_max=*/true,
+                                                  values_expire);
     case AggKind::kMin:
-      return std::make_unique<ExtremumAggregator>(/*is_max=*/false);
+      return std::make_unique<ExtremumAggregator>(/*is_max=*/false,
+                                                  values_expire);
     case AggKind::kLast:
       return std::make_unique<LastPrevAggregator>(/*prev=*/false);
     case AggKind::kPrev:

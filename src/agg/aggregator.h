@@ -51,7 +51,10 @@ class Aggregator {
  public:
   virtual ~Aggregator() = default;
 
-  static std::unique_ptr<Aggregator> Create(AggKind kind);
+  // `values_expire` is false for windows that never call Expire
+  // (infinite and tumbling): max/min then keep only the extremum.
+  static std::unique_ptr<Aggregator> Create(AggKind kind,
+                                            bool values_expire = true);
 
   // Applies a run of `n` >= 1 entering values, oldest first.
   // `offsets[i]` places `values[i]` in its stream (a log offset, or any

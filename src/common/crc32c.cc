@@ -1,6 +1,11 @@
 #include "common/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace railgun::crc32c {
 
@@ -24,9 +29,32 @@ const std::array<uint32_t, 256>& Table() {
   return table;
 }
 
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes the same reflected CRC32C
+// polynomial, eight bytes per instruction. Compiled for SSE4.2 only in
+// this function, so the rest of the build keeps its baseline target.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t init_crc,
+                                                       const char* data,
+                                                       size_t n) {
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  for (; n >= 8; data += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, sizeof(word));  // Unaligned little-endian load.
+    crc = _mm_crc32_u64(crc, word);
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; ++data, --n) {
+    crc32 = _mm_crc32_u8(crc32, static_cast<unsigned char>(*data));
+  }
+  return crc32 ^ 0xffffffffu;
+}
+#endif
+
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+namespace internal {
+
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   const auto& table = Table();
   uint32_t crc = init_crc ^ 0xffffffffu;
   for (size_t i = 0; i < n; ++i) {
@@ -34,6 +62,24 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
           (crc >> 8);
   }
   return crc ^ 0xffffffffu;
+}
+
+ExtendFn HardwareExtend() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) return &ExtendSse42;
+#endif
+  return nullptr;
+}
+
+}  // namespace internal
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  // Chosen once per process: every later call is one indirect call.
+  static const internal::ExtendFn extend = [] {
+    internal::ExtendFn hardware = internal::HardwareExtend();
+    return hardware != nullptr ? hardware : &internal::ExtendPortable;
+  }();
+  return extend(init_crc, data, n);
 }
 
 }  // namespace railgun::crc32c

@@ -1,5 +1,8 @@
 // CRC32C (Castagnoli) checksums, used to verify WAL records, SSTable
-// blocks and reservoir chunks on read.
+// blocks, reservoir chunks and remote wire frames on read. On x86-64
+// CPUs with SSE4.2 the hardware crc32 instruction computes them; other
+// CPUs fall back to a byte-at-a-time table. Both produce identical
+// values, so the choice never shows in a stored or sent checksum.
 #ifndef RAILGUN_COMMON_CRC32C_H_
 #define RAILGUN_COMMON_CRC32C_H_
 
@@ -26,6 +29,20 @@ inline uint32_t Unmask(uint32_t masked_crc) {
   uint32_t rot = masked_crc - kMaskDelta;
   return ((rot >> 17) | (rot << 15));
 }
+
+namespace internal {
+
+// Exposed for tests, which compare the two paths against each other and
+// against known answers. Production code calls Extend().
+using ExtendFn = uint32_t (*)(uint32_t init_crc, const char* data, size_t n);
+
+// The table path: Extend() on CPUs without SSE4.2.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+
+// The hardware path, or nullptr when this CPU has no crc32 instruction.
+ExtendFn HardwareExtend();
+
+}  // namespace internal
 
 }  // namespace railgun::crc32c
 

@@ -32,6 +32,11 @@ TaskProcessor::TaskProcessor(const TaskProcessorOptions& options,
     checkpoint_dirty_keys_ =
         registry->histogram("plan.state.checkpoint_dirty_keys");
     state_bytes_ = registry->gauge("plan.state.bytes");
+    chunk_loads_ = registry->counter("reservoir.chunk_loads");
+    sync_chunk_loads_ = registry->counter("reservoir.sync_chunk_loads");
+    cache_hits_ = registry->counter("reservoir.cache.hits");
+    cache_misses_ = registry->counter("reservoir.cache.misses");
+    cache_evictions_ = registry->counter("reservoir.cache.evictions");
   }
 }
 
@@ -42,7 +47,7 @@ TaskProcessor::~TaskProcessor() {
   }
 }
 
-void TaskProcessor::PublishStateStats() {
+void TaskProcessor::PublishStats() {
   if (state_hits_ == nullptr || plan_ == nullptr) return;
   const plan::StateTableStats& now = plan_->state_stats();
   state_hits_->Add(now.hits - published_state_.hits);
@@ -51,6 +56,17 @@ void TaskProcessor::PublishStateStats() {
   state_bytes_->Add(static_cast<int64_t>(now.bytes) -
                     static_cast<int64_t>(published_state_.bytes));
   published_state_ = now;
+
+  const reservoir::ReservoirStats res = reservoir_->stats();
+  chunk_loads_->Add(res.chunk_loads - published_reservoir_.chunk_loads);
+  sync_chunk_loads_->Add(res.sync_chunk_loads -
+                         published_reservoir_.sync_chunk_loads);
+  published_reservoir_ = res;
+  const reservoir::ChunkCache::Stats cache = reservoir_->cache_stats();
+  cache_hits_->Add(cache.hits - published_cache_.hits);
+  cache_misses_->Add(cache.misses - published_cache_.misses);
+  cache_evictions_->Add(cache.evictions - published_cache_.evictions);
+  published_cache_ = cache;
 }
 
 Status TaskProcessor::Open() {
@@ -199,7 +215,7 @@ Status TaskProcessor::ProcessMessage(const msg::Message& message,
   const Status s = ApplyEvent(env.event, env.request_id,
                               Slice(env.reply_topic),
                               trace::ParseTraceTrailer(rest), reply);
-  PublishStateStats();
+  PublishStats();
   return s;
 }
 
@@ -302,7 +318,7 @@ Status TaskProcessor::ProcessBatch(
       ++*failed;
     }
   }
-  PublishStateStats();
+  PublishStats();
   if (batch_start != 0) {
     tracer->Record(trace::Stage::kUnitProcess, batch_ctx, batch_start,
                    tracer->NowMicros());
@@ -319,7 +335,7 @@ Status TaskProcessor::SyncQueries(const StreamDef& updated) {
     RAILGUN_RETURN_IF_ERROR(plan_->AddQueryBackfilled(q));
     installed_queries_.insert(q.raw);
   }
-  PublishStateStats();  // Backfill replays load and sweep states.
+  PublishStats();  // Backfill replays load and sweep states.
   RAILGUN_RETURN_IF_ERROR(InstallPipelines(updated));
   stream_ = updated;
   return Status::OK();

@@ -118,9 +118,9 @@ class TaskProcessor {
                     const Slice& reply_topic,
                     const trace::TraceContext& trace_ctx,
                     ReplyEnvelope* reply);
-  // Adds the plan's state-table activity since the last call to the
-  // registry series.
-  void PublishStateStats();
+  // Adds the plan's state-table and the reservoir's chunk activity since
+  // the last call to the registry series.
+  void PublishStats();
 
   TaskProcessorOptions options_;
   std::string dir_;
@@ -153,6 +153,14 @@ class TaskProcessor {
   introspect::Histogram* checkpoint_dirty_keys_ = nullptr;
   introspect::Gauge* state_bytes_ = nullptr;
   plan::StateTableStats published_state_;
+  // Reservoir series, likewise.
+  introspect::Counter* chunk_loads_ = nullptr;
+  introspect::Counter* sync_chunk_loads_ = nullptr;
+  introspect::Counter* cache_hits_ = nullptr;
+  introspect::Counter* cache_misses_ = nullptr;
+  introspect::Counter* cache_evictions_ = nullptr;
+  reservoir::ReservoirStats published_reservoir_;
+  reservoir::ChunkCache::Stats published_cache_;
 
   // Batch scratch, reused across ProcessBatch calls.
   ColumnBatch column_batch_;

@@ -94,7 +94,8 @@ StatusOr<uint64_t> SubscriptionHub::Create(const std::string& statement) {
         }
       }
       sub->agg_field_indices.push_back(index);
-      sub->aggs.push_back(agg::Aggregator::Create(agg.kind));
+      sub->aggs.push_back(
+          agg::Aggregator::Create(agg.kind, q.window.ValuesExpire()));
     }
   }
 

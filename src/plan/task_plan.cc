@@ -133,7 +133,8 @@ Status TaskPlan::AddQueryToIsland(const query::QueryDef& query,
     if (!query.group_by.empty()) {
       leaf.name += " by " + group_key_id.substr(0, group_key_id.size() - 1);
     }
-    leaf.aggregator = agg::Aggregator::Create(agg_spec.kind);
+    leaf.aggregator =
+        agg::Aggregator::Create(agg_spec.kind, query.window.ValuesExpire());
     gnode->metrics.push_back(std::move(leaf));
     ++num_metrics_;
   }

@@ -1,8 +1,41 @@
 #include "reservoir/chunk_cache.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace railgun::reservoir {
 
-void ChunkCache::Insert(const std::shared_ptr<Chunk>& chunk) {
+namespace {
+
+// How far the next reader of `seq` trails it, in chunks: the nearest
+// reader strictly behind. UINT64_MAX when no reader trails it.
+uint64_t NextReaderLag(ChunkSeq seq, const std::vector<ChunkSeq>& readers) {
+  auto it = std::lower_bound(readers.begin(), readers.end(), seq);
+  if (it == readers.begin()) return UINT64_MAX;
+  return seq - *std::prev(it);
+}
+
+}  // namespace
+
+void ChunkCache::EvictOneLocked(const std::vector<ChunkSeq>& readers) {
+  // Walk from the LRU end, so that the least recent of equal lags wins.
+  auto victim = lru_.rbegin();
+  uint64_t victim_lag = 0;
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+    const uint64_t lag = NextReaderLag(*it, readers);
+    if (lag > victim_lag) {
+      victim = it;
+      victim_lag = lag;
+      if (lag == UINT64_MAX) break;  // Never read again: nothing beats it.
+    }
+  }
+  map_.erase(*victim);
+  lru_.erase(std::next(victim).base());
+  ++stats_.evictions;
+}
+
+void ChunkCache::Insert(const std::shared_ptr<Chunk>& chunk,
+                        const std::vector<ChunkSeq>& readers) {
   MutexLock lock(&mu_);
   const ChunkSeq seq = chunk->seq();
   auto it = map_.find(seq);
@@ -14,10 +47,7 @@ void ChunkCache::Insert(const std::shared_ptr<Chunk>& chunk) {
     return;
   }
   while (map_.size() >= capacity_ && !lru_.empty()) {
-    const ChunkSeq victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim);
-    ++stats_.evictions;
+    EvictOneLocked(readers);
   }
   lru_.push_front(seq);
   map_[seq] = Entry{chunk, lru_.begin()};
@@ -51,11 +81,6 @@ size_t ChunkCache::size() const {
 ChunkCache::Stats ChunkCache::stats() const {
   MutexLock lock(&mu_);
   return stats_;
-}
-
-void ChunkCache::ResetStats() {
-  MutexLock lock(&mu_);
-  stats_ = Stats();
 }
 
 }  // namespace railgun::reservoir

@@ -1,7 +1,14 @@
-// LRU cache of decoded chunks, sized in chunk elements (paper §5.2 used
+// Cache of decoded chunks, sized in chunk elements (paper §5.2 used
 // 220). Iterators hold shared_ptr pins, so an evicted-but-iterated chunk
 // stays alive; eviction only drops the cache's reference. Tracks the hit
 // and miss statistics that drive the Figure 9(b) analysis.
+//
+// Eviction looks ahead to the next reader. Window iterators only move
+// forward, so the next lookup of a resident chunk comes from the
+// nearest iterator positioned strictly behind it (one positioned in the
+// chunk already pins it). A full cache evicts a chunk no iterator
+// trails first, and otherwise the chunk whose next reader is farthest
+// behind; recency breaks ties, so with no readers this is plain LRU.
 #ifndef RAILGUN_RESERVOIR_CHUNK_CACHE_H_
 #define RAILGUN_RESERVOIR_CHUNK_CACHE_H_
 
@@ -9,6 +16,7 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "common/mutex.h"
 #include "reservoir/chunk.h"
@@ -19,8 +27,11 @@ class ChunkCache {
  public:
   explicit ChunkCache(size_t capacity) : capacity_(capacity) {}
 
-  // Inserts (or refreshes) a chunk, evicting the LRU entry if needed.
-  void Insert(const std::shared_ptr<Chunk>& chunk);
+  // Inserts (or refreshes) a chunk. A full cache first evicts one entry
+  // by the rule above; `readers` lists the chunk each live iterator is
+  // positioned in, sorted ascending (duplicates allowed).
+  void Insert(const std::shared_ptr<Chunk>& chunk,
+              const std::vector<ChunkSeq>& readers = {});
 
   // Returns the chunk or nullptr; a hit refreshes recency.
   std::shared_ptr<Chunk> Get(ChunkSeq seq);
@@ -37,9 +48,10 @@ class ChunkCache {
     uint64_t inserts = 0;
   };
   Stats stats() const;
-  void ResetStats();
 
  private:
+  void EvictOneLocked(const std::vector<ChunkSeq>& readers) REQUIRES(mu_);
+
   mutable Mutex mu_{kRankStorageChunkCache};
   size_t capacity_;
   // MRU at front.

@@ -223,7 +223,7 @@ void Reservoir::FinalizeChunkLocked(InMemoryChunk in_mem) {
   last_closed_max_ts_ =
       std::max(last_closed_max_ts_, in_mem.chunk->max_timestamp());
   ++stats_.chunks_closed;
-  cache_.Insert(in_mem.chunk);
+  cache_.Insert(in_mem.chunk, ReaderSnapshotLocked());
   in_flight_[in_mem.chunk->seq()] = in_mem.chunk;
   write_queue_.push_back(in_mem.chunk);
   if (options_.async_io) writer_cv_.NotifyOne();
@@ -278,56 +278,85 @@ void Reservoir::PrefetchLoop() {
       if (shutdown_) return;
       seq = prefetch_queue_.front();
       prefetch_queue_.pop_front();
+      // Skip chunks cached or loaded since they were queued.
+      if (loading_.count(seq) > 0 || cache_.Contains(seq)) continue;
+      loading_.emplace(seq, std::make_shared<PendingLoad>());
     }
-    if (cache_.Contains(seq)) continue;
     auto chunk_or = LoadChunkFromDisk(seq);
-    if (chunk_or.ok()) cache_.Insert(chunk_or.value());
+    MutexLock lock(&mu_);
+    FinishLoadLocked(seq, chunk_or);
   }
 }
 
-void Reservoir::SchedulePrefetch(ChunkSeq seq) {
-  if (!options_.enable_prefetch) return;
-  if (cache_.Contains(seq)) return;
-  {
-    MutexLock lock(&mu_);
-    if (seq >= next_chunk_seq_) return;
-    ++stats_.prefetches_issued;
-    if (!options_.async_io) return;  // Counted but not loaded.
-    prefetch_queue_.push_back(seq);
+void Reservoir::SchedulePrefetchLocked(ChunkSeq seq) {
+  if (!options_.enable_prefetch || seq >= next_chunk_seq_) return;
+  if (InMemoryChunkLocked(seq) != nullptr || loading_.count(seq) > 0 ||
+      cache_.Contains(seq)) {
+    return;
   }
+  ++stats_.prefetches_issued;
+  if (!options_.async_io) return;  // Counted but not loaded.
+  prefetch_queue_.push_back(seq);
   prefetch_cv_.NotifyOne();
 }
 
-StatusOr<std::shared_ptr<Chunk>> Reservoir::GetChunk(ChunkSeq seq,
-                                                     bool prefetch_next) {
+std::shared_ptr<Chunk> Reservoir::InMemoryChunkLocked(ChunkSeq seq) const {
+  if (open_.chunk != nullptr && open_.chunk->seq() == seq) return open_.chunk;
+  for (const auto& t : transition_) {
+    if (t.chunk->seq() == seq) return t.chunk;
+  }
+  auto it = in_flight_.find(seq);
+  return it != in_flight_.end() ? it->second : nullptr;
+}
+
+StatusOr<std::shared_ptr<Chunk>> Reservoir::GetChunk(
+    ChunkSeq seq, ReservoirIterator* reader) {
   {
     MutexLock lock(&mu_);
-    if (open_.chunk != nullptr && open_.chunk->seq() == seq) {
-      return open_.chunk;
+    MoveReaderLocked(reader, seq);
+    if (auto chunk = InMemoryChunkLocked(seq)) return chunk;
+    if (auto cached = cache_.Get(seq)) {
+      SchedulePrefetchLocked(seq + 1);
+      return cached;
     }
-    for (const auto& t : transition_) {
-      if (t.chunk->seq() == seq) return t.chunk;
+    auto [it, inserted] = loading_.try_emplace(seq);
+    if (!inserted) {
+      // The prefetcher (or another reader) is decoding this chunk: wait
+      // for its result rather than decode it a second time.
+      std::shared_ptr<PendingLoad> load = it->second;
+      load_done_cv_.Wait(&mu_, [&load] { return load->done; });
+      if (!load->status.ok()) return load->status;
+      SchedulePrefetchLocked(seq + 1);
+      return load->chunk;
     }
-    auto it = in_flight_.find(seq);
-    if (it != in_flight_.end()) return it->second;
-  }
-
-  if (auto cached = cache_.Get(seq); cached != nullptr) {
-    if (prefetch_next) SchedulePrefetch(seq + 1);
-    return cached;
+    it->second = std::make_shared<PendingLoad>();
   }
 
   // Cache miss: synchronous load (the paper's tail-latency hazard).
   auto chunk_or = LoadChunkFromDisk(seq);
+  MutexLock lock(&mu_);
+  FinishLoadLocked(seq, chunk_or);
   if (chunk_or.ok()) {
-    {
-      MutexLock lock(&mu_);
-      ++stats_.sync_chunk_loads;
-    }
-    cache_.Insert(chunk_or.value());
-    if (prefetch_next) SchedulePrefetch(seq + 1);
+    ++stats_.sync_chunk_loads;
+    SchedulePrefetchLocked(seq + 1);
   }
   return chunk_or;
+}
+
+void Reservoir::FinishLoadLocked(
+    ChunkSeq seq, const StatusOr<std::shared_ptr<Chunk>>& result) {
+  auto it = loading_.find(seq);
+  PendingLoad* load = it->second.get();
+  load->done = true;
+  if (result.ok()) {
+    load->chunk = result.value();
+    ++stats_.chunk_loads;
+    cache_.Insert(load->chunk, ReaderSnapshotLocked());
+  } else {
+    load->status = result.status();
+  }
+  loading_.erase(it);  // Waiters hold their own reference to *load.
+  load_done_cv_.NotifyAll();
 }
 
 StatusOr<std::shared_ptr<Chunk>> Reservoir::LoadChunkFromDisk(ChunkSeq seq) {
@@ -372,26 +401,50 @@ ChunkSeq Reservoir::OldestSeqLocked() const {
   return open_.chunk->seq();
 }
 
+std::unique_ptr<ReservoirIterator> Reservoir::NewIteratorLocked(
+    ChunkSeq seq) {
+  auto iter = std::unique_ptr<ReservoirIterator>(new ReservoirIterator(this));
+  iter->reader_seq_ = seq;
+  ++readers_[seq];
+  return iter;
+}
+
+void Reservoir::MoveReaderLocked(ReservoirIterator* reader, ChunkSeq seq) {
+  if (reader->reader_seq_ == seq) return;
+  DropReaderLocked(reader->reader_seq_);
+  ++readers_[seq];
+  reader->reader_seq_ = seq;
+}
+
+void Reservoir::DropReaderLocked(ChunkSeq seq) {
+  auto it = readers_.find(seq);
+  if (--it->second == 0) readers_.erase(it);
+}
+
+std::vector<ChunkSeq> Reservoir::ReaderSnapshotLocked() const {
+  std::vector<ChunkSeq> seqs;
+  seqs.reserve(readers_.size());
+  for (const auto& [seq, count] : readers_) seqs.push_back(seq);
+  return seqs;
+}
+
 std::unique_ptr<ReservoirIterator> Reservoir::NewIterator() {
-  auto iter =
-      std::unique_ptr<ReservoirIterator>(new ReservoirIterator(this));
+  std::unique_ptr<ReservoirIterator> iter;
   ChunkSeq oldest;
   {
     MutexLock lock(&mu_);
     oldest = OldestSeqLocked();
-    ++live_iterators_;
+    iter = NewIteratorLocked(oldest);
   }
   iter->PositionAt(oldest, 0);
   return iter;
 }
 
 std::unique_ptr<ReservoirIterator> Reservoir::NewIteratorAt(Micros ts) {
-  auto iter =
-      std::unique_ptr<ReservoirIterator>(new ReservoirIterator(this));
+  std::unique_ptr<ReservoirIterator> iter;
   ChunkSeq target;
   {
     MutexLock lock(&mu_);
-    ++live_iterators_;
     // First persisted chunk with max_ts >= ts.
     auto it = std::lower_bound(index_.begin(), index_.end(), ts,
                                [](const ChunkLocation& loc, Micros t) {
@@ -404,6 +457,7 @@ std::unique_ptr<ReservoirIterator> Reservoir::NewIteratorAt(Micros ts) {
       target = OldestSeqLocked();
       if (!index_.empty()) target = index_.back().seq + 1;
     }
+    iter = NewIteratorLocked(target);
   }
   iter->PositionAt(target, 0);
   // Advance within the chunk to the first event with timestamp >= ts.
@@ -415,11 +469,10 @@ std::unique_ptr<ReservoirIterator> Reservoir::NewIteratorAt(Micros ts) {
 
 std::unique_ptr<ReservoirIterator> Reservoir::NewIteratorAtPosition(
     ChunkSeq seq, size_t index) {
-  auto iter =
-      std::unique_ptr<ReservoirIterator>(new ReservoirIterator(this));
+  std::unique_ptr<ReservoirIterator> iter;
   {
     MutexLock lock(&mu_);
-    ++live_iterators_;
+    iter = NewIteratorLocked(seq);
   }
   iter->PositionAt(seq, index);
   return iter;
@@ -512,7 +565,9 @@ ReservoirStats Reservoir::stats() const {
 
 size_t Reservoir::num_live_iterators() const {
   MutexLock lock(&mu_);
-  return live_iterators_;
+  size_t n = 0;
+  for (const auto& [seq, count] : readers_) n += count;
+  return n;
 }
 
 Micros Reservoir::MaxTimestamp() const {
@@ -540,7 +595,7 @@ ReservoirIterator::ReservoirIterator(Reservoir* reservoir)
 
 ReservoirIterator::~ReservoirIterator() {
   MutexLock lock(&reservoir_->mu_);
-  --reservoir_->live_iterators_;
+  reservoir_->DropReaderLocked(reader_seq_);
 }
 
 void ReservoirIterator::PositionAt(ChunkSeq seq, size_t index) {
@@ -554,7 +609,7 @@ void ReservoirIterator::LoadCurrent() {
   valid_ = false;
   while (true) {
     if (chunk_ == nullptr || chunk_->seq() != chunk_seq_) {
-      auto chunk_or = reservoir_->GetChunk(chunk_seq_, /*prefetch_next=*/true);
+      auto chunk_or = reservoir_->GetChunk(chunk_seq_, this);
       if (!chunk_or.ok()) {
         chunk_.reset();
         return;  // Past the end (or truncated): AtEnd.

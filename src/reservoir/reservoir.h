@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -65,7 +66,8 @@ struct ReservoirStats {
   uint64_t late_transition_adds = 0;
   uint64_t chunks_closed = 0;
   uint64_t chunks_written = 0;
-  uint64_t sync_chunk_loads = 0;   // Cache misses on the read path.
+  uint64_t chunk_loads = 0;        // Chunks decoded from disk (any thread).
+  uint64_t sync_chunk_loads = 0;   // Of those, loads an iterator started.
   uint64_t prefetches_issued = 0;
 };
 
@@ -73,7 +75,8 @@ class Reservoir;
 
 // Forward iterator over the reservoir's events in time order. Pins the
 // chunk it is positioned in; crossing a chunk boundary triggers an eager
-// prefetch of the following chunk (paper §4.1.1).
+// prefetch of the following chunk (paper §4.1.1). The reservoir tracks
+// which chunk each live iterator is in, for the cache's eviction.
 class ReservoirIterator {
  public:
   ~ReservoirIterator();
@@ -111,6 +114,9 @@ class ReservoirIterator {
 
   Reservoir* reservoir_;
   std::shared_ptr<Chunk> chunk_;  // Pin.
+  // The chunk this iterator counts as a reader of (guarded by the
+  // reservoir's mu_); catches up with chunk_seq_ in GetChunk.
+  ChunkSeq reader_seq_ = 0;
   ChunkSeq chunk_seq_ = 0;
   size_t index_ = 0;
   bool valid_ = false;
@@ -179,12 +185,37 @@ class Reservoir {
   Status WriteChunk(const std::shared_ptr<Chunk>& chunk);
   void WriterLoop();
   void PrefetchLoop();
-  void SchedulePrefetch(ChunkSeq seq);
+  void SchedulePrefetchLocked(ChunkSeq seq) REQUIRES(mu_);
 
-  // Fetches a chunk by sequence from memory, cache or disk.
+  // A decode from disk in progress; other readers of the chunk wait for
+  // its result instead of decoding it again.
+  struct PendingLoad {
+    bool done = false;
+    Status status;
+    std::shared_ptr<Chunk> chunk;
+  };
+
+  // Fetches a chunk by sequence from memory, cache or disk for `reader`,
+  // which becomes a reader of `seq`, and prefetches the chunk after it.
   StatusOr<std::shared_ptr<Chunk>> GetChunk(ChunkSeq seq,
-                                            bool prefetch_next);
+                                            ReservoirIterator* reader);
+  // The open, transition or not-yet-persisted chunk `seq`, or null.
+  std::shared_ptr<Chunk> InMemoryChunkLocked(ChunkSeq seq) const
+      REQUIRES(mu_);
   StatusOr<std::shared_ptr<Chunk>> LoadChunkFromDisk(ChunkSeq seq);
+  // Publishes a load started under loading_[seq] to its waiters and,
+  // when it succeeded, to the cache.
+  void FinishLoadLocked(ChunkSeq seq,
+                        const StatusOr<std::shared_ptr<Chunk>>& result)
+      REQUIRES(mu_);
+
+  // Reader bookkeeping for the cache's next-reader eviction.
+  std::unique_ptr<ReservoirIterator> NewIteratorLocked(ChunkSeq seq)
+      REQUIRES(mu_);
+  void MoveReaderLocked(ReservoirIterator* reader, ChunkSeq seq)
+      REQUIRES(mu_);
+  void DropReaderLocked(ChunkSeq seq) REQUIRES(mu_);
+  std::vector<ChunkSeq> ReaderSnapshotLocked() const REQUIRES(mu_);
   // Oldest chunk seq that still exists (after truncation).
   ChunkSeq OldestSeqLocked() const REQUIRES(mu_);
 
@@ -210,7 +241,11 @@ class Reservoir {
   Micros last_closed_max_ts_ GUARDED_BY(mu_) = -1;
   uint64_t last_persisted_offset_ GUARDED_BY(mu_) = 0;
   ReservoirStats stats_ GUARDED_BY(mu_);
-  size_t live_iterators_ GUARDED_BY(mu_) = 0;
+  // Live iterators per chunk they are positioned in.
+  std::map<ChunkSeq, size_t> readers_ GUARDED_BY(mu_);
+  std::unordered_map<ChunkSeq, std::shared_ptr<PendingLoad>> loading_
+      GUARDED_BY(mu_);
+  CondVar load_done_cv_;
 
   CondVar writer_cv_;
   CondVar writer_done_cv_;

@@ -58,6 +58,12 @@ struct WindowSpec {
     return kind == WindowKind::kCountSliding ? 0 : delay;
   }
   Micros TailOffset() const { return delay + size; }
+
+  // Whether events ever leave this window (infinite and tumbling
+  // windows never expire an event; tumbling ones start a new epoch).
+  bool ValuesExpire() const {
+    return kind == WindowKind::kSliding || kind == WindowKind::kCountSliding;
+  }
 };
 
 }  // namespace railgun::window

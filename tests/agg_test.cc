@@ -143,6 +143,38 @@ TEST(MaxMinTest, MonotonicDequeExactUnderExpiry) {
   EXPECT_DOUBLE_EQ(ResultOf(min_agg.get(), min_state), 2);
 }
 
+TEST(MaxMinTest, NonExpiringStateKeepsOnlyTheExtremum) {
+  for (AggKind kind : {AggKind::kMax, AggKind::kMin}) {
+    SCOPED_TRACE(AggKindName(kind));
+    const bool is_max = kind == AggKind::kMax;
+    auto expiring = Aggregator::Create(kind);
+    auto bounded = Aggregator::Create(kind, /*values_expire=*/false);
+    std::string long_state, state;
+    double best = is_max ? -1e300 : 1e300;
+    size_t size_after_first = 0;
+    for (uint64_t i = 0; i < 2000; ++i) {
+      // Falling values for max, rising for min: nothing is dominated.
+      const double x = is_max ? 1e6 - i : static_cast<double>(i);
+      best = is_max ? std::max(best, x) : std::min(best, x);
+      ASSERT_TRUE(EnterOne(expiring.get(), FieldValue(x), i, &long_state,
+                           nullptr).ok());
+      ASSERT_TRUE(
+          EnterOne(bounded.get(), FieldValue(x), i, &state, nullptr).ok());
+      ASSERT_DOUBLE_EQ(ResultOf(bounded.get(), state), best);
+      if (i == 0) size_after_first = state.size();
+    }
+    EXPECT_EQ(state.size(), size_after_first);
+    EXPECT_GT(long_state.size(), 1000 * size_after_first);
+
+    // A state written with every entry (same format) collapses to its
+    // front on the next Enter and keeps the same result.
+    ASSERT_TRUE(EnterOne(bounded.get(), FieldValue(is_max ? 0.0 : 1e7),
+                         2000, &long_state, nullptr).ok());
+    EXPECT_EQ(long_state, state);
+    EXPECT_DOUBLE_EQ(ResultOf(bounded.get(), long_state), best);
+  }
+}
+
 TEST(LastPrevTest, TracksRecency) {
   auto last_agg = Aggregator::Create(AggKind::kLast);
   auto prev_agg = Aggregator::Create(AggKind::kPrev);

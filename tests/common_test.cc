@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -123,6 +124,56 @@ TEST(Crc32cTest, KnownProperties) {
   const uint32_t split = crc32c::Extend(crc32c::Value("hello ", 6),
                                         "world", 5);
   EXPECT_EQ(whole, split);
+}
+
+// Every Extend implementation this CPU can run: the table path always,
+// the hardware path where the CPU has it.
+std::vector<std::pair<const char*, crc32c::internal::ExtendFn>>
+Crc32cPaths() {
+  std::vector<std::pair<const char*, crc32c::internal::ExtendFn>> paths = {
+      {"table", &crc32c::internal::ExtendPortable}};
+  if (crc32c::internal::ExtendFn hw = crc32c::internal::HardwareExtend()) {
+    paths.emplace_back("hardware", hw);
+  }
+  return paths;
+}
+
+TEST(Crc32cTest, Rfc3720KnownAnswers) {
+  // RFC 3720 §B.4 test vectors, plus the standard "123456789" check.
+  std::string zeros(32, '\0');
+  std::string ones(32, '\xff');
+  std::string ascending(32, '\0');
+  for (int i = 0; i < 32; ++i) ascending[i] = static_cast<char>(i);
+  const std::string digits = "123456789";
+  for (const auto& [name, extend] : Crc32cPaths()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(0x8a9136aau, extend(0, zeros.data(), zeros.size()));
+    EXPECT_EQ(0x62a8ab43u, extend(0, ones.data(), ones.size()));
+    EXPECT_EQ(0x46dd794eu, extend(0, ascending.data(), ascending.size()));
+    EXPECT_EQ(0xe3069283u, extend(0, digits.data(), digits.size()));
+  }
+  EXPECT_EQ(0xe3069283u, crc32c::Value(digits.data(), digits.size()));
+}
+
+TEST(Crc32cTest, HardwareMatchesTableAtEveryLengthAndAlignment) {
+  const crc32c::internal::ExtendFn hw = crc32c::internal::HardwareExtend();
+  if (hw == nullptr) GTEST_SKIP() << "no hardware crc32c on this CPU";
+  Random64 rnd(3720);
+  std::string buf(4096 + 16, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Uniform(256));
+  for (size_t n = 0; n <= 4096; n += (n < 64 ? 1 : 1 + rnd.Uniform(97))) {
+    const size_t start = rnd.Uniform(16);  // Unaligned starts.
+    const char* data = buf.data() + start;
+    const uint32_t want = crc32c::internal::ExtendPortable(0, data, n);
+    ASSERT_EQ(want, hw(0, data, n)) << "n=" << n << " start=" << start;
+    ASSERT_EQ(want, crc32c::Value(data, n));
+    // Chaining over an arbitrary split gives the same value on both.
+    const size_t split = n == 0 ? 0 : rnd.Uniform(n + 1);
+    ASSERT_EQ(want, hw(hw(0, data, split), data + split, n - split));
+    ASSERT_EQ(want, crc32c::internal::ExtendPortable(
+                        crc32c::internal::ExtendPortable(0, data, split),
+                        data + split, n - split));
+  }
 }
 
 TEST(Crc32cTest, MaskUnmaskRoundTrip) {

@@ -270,6 +270,43 @@ TEST_F(TaskProcessorTest, CheckpointAndRecoveryReplayIsExactlyOnce) {
   EXPECT_DOUBLE_EQ(reply.results[0].value.ToNumber(), 120.0);
 }
 
+TEST_F(TaskProcessorTest, ReservoirCountersReachTheRegistry) {
+  introspect::Registry registry;
+  options_.registry = &registry;
+  // Two cached chunks and synchronous I/O: the 5-minute tail trails the
+  // head by several chunks, so it reads chunks already evicted, each
+  // with a synchronous load.
+  options_.reservoir.cache_capacity = 2;
+  options_.reservoir.async_io = false;
+  auto value = [&](const std::string& name) {
+    for (const auto& sample : registry.Snapshot()) {
+      if (sample.name == name) return sample.value;
+    }
+    return -1.0;
+  };
+  TaskProcessor proc(options_, dir_, stream_, "payments.cardId");
+  ASSERT_TRUE(proc.Open().ok());
+  ReplyEnvelope reply;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(proc.ProcessMessage(
+                        MakeMessage(i, kMicrosPerSecond * static_cast<Micros>(
+                                                               i + 1),
+                                    i + 1, "cardA", 1.0),
+                        &reply)
+                    .ok());
+  }
+  const reservoir::ReservoirStats stats = proc.reservoir()->stats();
+  const reservoir::ChunkCache::Stats cache = proc.reservoir()->cache_stats();
+  ASSERT_GT(stats.chunk_loads, 0u);
+  EXPECT_EQ(value("reservoir.chunk_loads"), stats.chunk_loads);
+  EXPECT_EQ(value("reservoir.sync_chunk_loads"), stats.sync_chunk_loads);
+  EXPECT_EQ(stats.sync_chunk_loads, stats.chunk_loads);  // No prefetcher.
+  EXPECT_EQ(value("reservoir.cache.hits"), cache.hits);
+  EXPECT_EQ(value("reservoir.cache.misses"), cache.misses);
+  EXPECT_GT(value("reservoir.cache.evictions"), 0);
+  EXPECT_EQ(value("reservoir.cache.evictions"), cache.evictions);
+}
+
 TEST_F(TaskProcessorTest, StateTableCountersReachTheRegistry) {
   introspect::Registry registry;
   options_.registry = &registry;

@@ -3,6 +3,7 @@
 // checkpoint/restore, and the write-back state table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 
@@ -140,6 +141,33 @@ TEST_F(TaskPlanTest, InfiniteWindowNeverForgets) {
   auto r = Step(30 * kMicrosPerDay, "c", "m3", 1);
   EXPECT_DOUBLE_EQ(
       r["countDistinct(merchantId) over infinite by cardId|c"], 3);
+}
+
+TEST_F(TaskPlanTest, MaxMinStateStaysBoundedWhereValuesNeverExpire) {
+  // Interleaved falling highs and rising lows: no value dominates the
+  // ones before it, so an expiring window's max and min deques would
+  // keep them all. Infinite and tumbling windows never expire a value,
+  // so their states keep one entry each.
+  AddQuery("SELECT max(amount), min(amount) FROM p GROUP BY cardId "
+           "OVER infinite");
+  AddQuery("SELECT max(amount), min(amount) FROM p GROUP BY cardId "
+           "OVER tumbling 1 hour");
+  double max_seen = -1e300, min_seen = 1e300;
+  uint64_t bytes_after_warmup = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const double amount = i % 2 == 0 ? 10000.0 - i : i;
+    max_seen = std::max(max_seen, amount);
+    min_seen = std::min(min_seen, amount);
+    // One second apart: all 2000 events fall in the first hour's epoch.
+    auto r = Step((i + 1) * kMicrosPerSecond, "c", "m", amount);
+    for (const char* window : {"infinite", "tumbling 1h"}) {
+      const std::string suffix = std::string(" over ") + window + " by cardId|c";
+      ASSERT_DOUBLE_EQ(r["max(amount)" + suffix], max_seen) << i;
+      ASSERT_DOUBLE_EQ(r["min(amount)" + suffix], min_seen) << i;
+    }
+    if (i == 10) bytes_after_warmup = plan_->state_stats().bytes;
+  }
+  EXPECT_EQ(plan_->state_stats().bytes, bytes_after_warmup);
 }
 
 TEST_F(TaskPlanTest, CountDistinctExpiresWithWindow) {

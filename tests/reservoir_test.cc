@@ -3,10 +3,16 @@
 // schema evolution and replica copy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/env.h"
+#include "common/mutex.h"
 #include "reservoir/reservoir.h"
 
 namespace railgun::reservoir {
@@ -258,6 +264,133 @@ TEST_F(ReservoirTest, EagerPrefetchKeepsSyncLoadsLowUnderPacedReads) {
   EXPECT_LT(stats.sync_chunk_loads, stats.chunks_written);
 }
 
+// Env decorator whose positional reads, once armed, sleep first and are
+// counted per (file, offset): one count per chunk decode.
+class SlowReadEnv : public Env {
+ public:
+  explicit SlowReadEnv(Micros delay) : delay_(delay) {}
+
+  void Arm() { armed_ = true; }
+  // Largest number of reads of any one (file, offset).
+  int MaxReadsOfOneRecord() const {
+    MutexLock lock(&mu_);
+    int most = 0;
+    for (const auto& [key, n] : reads_) most = std::max(most, n);
+    return most;
+  }
+  size_t DistinctRecordsRead() const {
+    MutexLock lock(&mu_);
+    return reads_.size();
+  }
+
+  Status NewRandomAccessFile(
+      const std::string& path,
+      std::unique_ptr<RandomAccessFile>* file) override {
+    std::unique_ptr<RandomAccessFile> base;
+    RAILGUN_RETURN_IF_ERROR(base_->NewRandomAccessFile(path, &base));
+    file->reset(new File(this, path, std::move(base)));
+    return Status::OK();
+  }
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* file) override {
+    return base_->NewWritableFile(path, file);
+  }
+  Status NewAppendableFile(const std::string& path,
+                           std::unique_ptr<WritableFile>* file) override {
+    return base_->NewAppendableFile(path, file);
+  }
+  Status NewSequentialFile(const std::string& path,
+                           std::unique_ptr<SequentialFile>* file) override {
+    return base_->NewSequentialFile(path, file);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status GetFileSize(const std::string& path, uint64_t* size) override {
+    return base_->GetFileSize(path, size);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status CreateDir(const std::string& path) override {
+    return base_->CreateDir(path);
+  }
+  Status RemoveDirRecursive(const std::string& path) override {
+    return base_->RemoveDirRecursive(path);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* children) override {
+    return base_->ListDir(path, children);
+  }
+  Status CopyFile(const std::string& from, const std::string& to) override {
+    return base_->CopyFile(from, to);
+  }
+
+ private:
+  class File : public RandomAccessFile {
+   public:
+    File(SlowReadEnv* env, std::string path,
+         std::unique_ptr<RandomAccessFile> base)
+        : env_(env), path_(std::move(path)), base_(std::move(base)) {}
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      if (env_->armed_) {
+        {
+          MutexLock lock(&env_->mu_);
+          ++env_->reads_[{path_, offset}];
+        }
+        MonotonicClock::Default()->SleepMicros(env_->delay_);
+      }
+      return base_->Read(offset, n, result, scratch);
+    }
+    uint64_t Size() const override { return base_->Size(); }
+
+   private:
+    SlowReadEnv* env_;
+    std::string path_;
+    std::unique_ptr<RandomAccessFile> base_;
+  };
+
+  Env* const base_ = Env::Default();
+  const Micros delay_;
+  std::atomic<bool> armed_{false};
+  mutable Mutex mu_{kRankTestInner};
+  std::map<std::pair<std::string, uint64_t>, int> reads_;
+};
+
+TEST_F(ReservoirTest, IteratorCatchingThePrefetcherJoinsItsLoad) {
+  // Reads take 5 ms, far longer than an unpaced iterator needs to cross
+  // a chunk, so the iterator reaches each chunk while the prefetcher is
+  // still decoding it. It must wait for that decode, not start another.
+  SlowReadEnv env(5000);
+  options_.env = &env;
+  options_.async_io = true;
+  options_.cache_capacity = 2;
+  Open();
+  bool accepted;
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(reservoir_
+                    ->Append(MakeEvent(i * 1000, i + 1, "c", 1.0), &accepted)
+                    .ok());
+  }
+  ASSERT_TRUE(reservoir_->Sync().ok());
+  ASSERT_GT(reservoir_->NumPersistedChunks(), 8u);
+
+  env.Arm();
+  auto iter = reservoir_->NewIterator();
+  int count = 0;
+  for (; !iter->AtEnd(); iter->Advance()) ++count;
+  EXPECT_EQ(count, 600);
+  // Every chunk the cache did not hold was read, and read exactly once.
+  EXPECT_GE(env.DistinctRecordsRead(), reservoir_->NumPersistedChunks() - 2);
+  EXPECT_EQ(env.MaxReadsOfOneRecord(), 1);
+  iter.reset();
+  reservoir_.reset();  // Joins the prefetcher before env goes away.
+}
+
 TEST_F(ReservoirTest, TruncateBeforeDropsOldSegments) {
   Open();
   bool accepted;
@@ -393,6 +526,72 @@ TEST(ChunkCacheTest, LruEvictionAndStats) {
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.misses, 0u);
+}
+
+TEST(ChunkCacheTest, EvictsTheChunkWhoseNextReaderIsFarthestBehind) {
+  ChunkCache cache(3);
+  for (ChunkSeq seq : {3, 5, 1}) {
+    cache.Insert(std::make_shared<Chunk>(seq, 1));
+  }
+  ASSERT_NE(cache.Get(1), nullptr);  // 1 is the most recently used.
+
+  // One iterator in chunk 2: it is past chunk 1, which no one will read
+  // again, so 1 goes first despite being the most recent.
+  const std::vector<ChunkSeq> readers = {2};
+  cache.Insert(std::make_shared<Chunk>(6, 1), readers);
+  EXPECT_FALSE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(3));
+
+  // Now every resident chunk has a reader behind it: the one reached
+  // last (6, four chunks ahead of it) goes, not the LRU entry (3).
+  cache.Insert(std::make_shared<Chunk>(7, 1), readers);
+  EXPECT_FALSE(cache.Contains(6));
+  EXPECT_TRUE(cache.Contains(3));
+  EXPECT_TRUE(cache.Contains(5));
+  EXPECT_TRUE(cache.Contains(7));
+}
+
+// Replays window edges the way the reservoir reports them: one iterator
+// per lag trails a head that walks chunks 1..num_chunks, each iterator
+// stepping one chunk per tick, trailing ones first. An iterator's move
+// and its lookup happen together, as in Reservoir::GetChunk. Returns
+// how many chunk loads (cache misses) the walk needed.
+uint64_t LoadsForReadersAtFixedLags(const std::vector<ChunkSeq>& lags,
+                                    ChunkSeq num_chunks, size_t capacity,
+                                    bool pass_readers) {
+  ChunkCache cache(capacity);
+  std::vector<ChunkSeq> lags_desc = lags;
+  std::sort(lags_desc.rbegin(), lags_desc.rend());
+  std::map<ChunkSeq, ChunkSeq> position;  // By lag; absent until started.
+  for (ChunkSeq head = 1; head <= num_chunks + lags_desc[0]; ++head) {
+    for (ChunkSeq lag : lags_desc) {
+      if (head <= lag || head - lag > num_chunks) continue;
+      const ChunkSeq seq = head - lag;
+      position[lag] = seq;
+      if (cache.Get(seq) != nullptr) continue;
+      std::vector<ChunkSeq> readers;
+      if (pass_readers) {
+        for (const auto& [l, pos] : position) readers.push_back(pos);
+        std::sort(readers.begin(), readers.end());
+      }
+      cache.Insert(std::make_shared<Chunk>(seq, 1), readers);
+    }
+  }
+  return cache.stats().misses;
+}
+
+TEST(ChunkCacheTest, ReadersAtFixedLagsReloadFewerChunksThanLru) {
+  // Seven edges spread over 40 chunks, a 20-chunk cache, 200 chunks:
+  // the edges span more chunks than the cache holds. LRU reloads most
+  // chunks once per edge (7 loads each with no cache at all);
+  // evicting by next reader keeps each chunk until the edge behind it
+  // arrives, whenever it can.
+  const std::vector<ChunkSeq> lags = {0, 5, 11, 18, 26, 33, 40};
+  const uint64_t lru = LoadsForReadersAtFixedLags(lags, 200, 20, false);
+  const uint64_t next_reader = LoadsForReadersAtFixedLags(lags, 200, 20, true);
+  EXPECT_GT(lru, 6u * 200u);
+  EXPECT_LT(next_reader * 3, lru * 2) << "next-reader " << next_reader
+                                      << " vs LRU " << lru;
 }
 
 TEST(EventCodecTest, AllFieldTypesRoundTrip) {
